@@ -1,29 +1,25 @@
-//! Profile of the metric-extraction kernel: fused + scratch + banded + the
-//! wire-to-scratch payload fast path vs the retained pre-fusion kernel.
+//! Profile of the metric-extraction kernel: serial, banded and the
+//! wire-to-scratch payload fast path.
 //!
 //! Measures frames/s and per-frame heap-allocation traffic (via a counting
-//! global allocator) for six variants of `frame_metrics` on a small and a
-//! large simulated scene:
+//! global allocator) for four extraction variants on a small and a large
+//! simulated scene:
 //!
-//! * `legacy` — [`metaseg::pipeline::baseline::legacy_frame_metrics`], the
-//!   retained pre-fusion kernel (separate argmax pass, pixel-materialising
-//!   labelling, per-segment hash maps, per-frame allocations),
-//! * `serial` — the fused kernel forced to one band, reusing one
-//!   [`metaseg::ExtractionScratch`],
-//! * `banded` — the fused kernel with automatic band selection (on
+//! * `serial` — [`metaseg::frame_metrics_banded`] forced to one band,
+//!   reusing one [`metaseg::ExtractionScratch`],
+//! * `banded` — [`metaseg::extract_frame`] with automatic band selection (on
 //!   multi-core machines the large scene splits into horizontal bands; band
 //!   count is reported),
-//! * `fused_f64` — the zero-copy payload path: quantized-u16 wire bytes
+//! * `fused_f64` — the zero-copy payload path
+//!   ([`metaseg::extract_frame_payload`]): quantized-u16 wire bytes
 //!   dequantized directly into the scratch plane, exact f64 dispersion scan
-//!   (bit-identical records to decode-via-`ProbMap` + `serial`),
-//! * `fused_f32` — the same payload path with the vectorisable f32
-//!   dispersion scan in its pixel-major layout,
-//! * `fused_f32_tiled` — the f32 scan over channel-major SoA tiles
-//!   (both layouts are measured so the shipped default stays the winner).
+//!   (bit-identical records to decode-via-`ProbMap` + `banded`),
+//! * `fused_f32_tiled` — the same payload path with the f32 dispersion scan
+//!   over channel-major tiles, scanning the wire bytes in place.
 //!
 //! Writes `BENCH_extraction.json` at the repository root and prints a
 //! speedup line for CI. `--require-speedup X` exits non-zero unless the
-//! fused payload fast path (f32 scan, shipped default layout) sustains at
+//! fused payload fast path (f32 tiled scan) sustains at
 //! least `X`× the serial f64 kernel's frames/s on the large scene —
 //! decode + extraction fused must beat extraction alone by that margin.
 //! The gated ratio is measured by interleaving the two variants frame by
@@ -42,11 +38,9 @@
 //!     --frames 60 --threads 2 --require-speedup 2.0
 //! ```
 
-use metaseg::pipeline::baseline::legacy_frame_metrics;
-use metaseg::pipeline::DEFAULT_F32_LAYOUT;
 use metaseg::{
-    frame_metrics_banded, frame_metrics_scratch, ExtractionScratch, F32ScanLayout, MetricsConfig,
-    SegmentRecord,
+    extract_frame, extract_frame_payload, frame_metrics_banded, DispersionPrecision,
+    ExtractionScratch, MetricsConfig, SegmentRecord,
 };
 use metaseg_data::{Frame, FrameId, ProbEncoding, ProbPayload};
 use metaseg_sim::{NetworkProfile, NetworkSim, Scene, SceneConfig};
@@ -188,8 +182,8 @@ struct VariantReport {
     /// Largest heap bytes allocated by any single steady-state frame.
     peak_frame_bytes: u64,
     /// Scratch buffer growth during the steady-state loop (0 = the kernel's
-    /// zero-allocation steady state; legacy reports no scratch).
-    scratch_reallocations: Option<u64>,
+    /// zero-allocation steady state).
+    scratch_reallocations: u64,
     /// Intra-frame bands used (1 = serial).
     bands: usize,
 }
@@ -201,19 +195,14 @@ struct SceneReport {
     pixels: usize,
     distinct_frames: usize,
     measured_frames: usize,
-    legacy: VariantReport,
     serial: VariantReport,
     banded: VariantReport,
     /// Zero-copy u16-payload ingest, exact f64 scan.
     fused_f64: VariantReport,
-    /// Zero-copy u16-payload ingest, f32 scan, pixel-major layout.
-    fused_f32: VariantReport,
-    /// Zero-copy u16-payload ingest, f32 scan, channel-major SoA tiles.
+    /// Zero-copy u16-payload ingest, f32 scan over channel-major tiles.
     fused_f32_tiled: VariantReport,
-    speedup_serial_vs_legacy: f64,
-    speedup_banded_vs_legacy: f64,
-    /// The CI-gated ratio: fused payload fast path (f32 scan in the shipped
-    /// default layout, decode included) over the serial f64 kernel (decode
+    /// The CI-gated ratio: fused payload fast path (f32 tiled scan, decode
+    /// included) over the serial f64 kernel (decode
     /// already done). Whole-serve-path throughput vs extraction alone,
     /// measured by [`interleaved_speedup`] so machine-speed drift between
     /// the sequential per-variant loops cannot skew the gate.
@@ -229,8 +218,7 @@ struct BenchReport {
 }
 
 /// Simulated labelled frames of one scene shape (ground truth included so
-/// the kernel's IoU/overlap path — the hash-map hot spot of the legacy
-/// kernel — is exercised).
+/// the kernel's IoU/overlap path is exercised).
 fn make_frames(config: &SceneConfig, count: usize, seed: u64) -> Vec<Frame> {
     let mut rng = StdRng::seed_from_u64(seed);
     let sim = NetworkSim::new(NetworkProfile::weak());
@@ -292,7 +280,7 @@ fn scratch_growth(before: metaseg::ScratchStats, after: metaseg::ScratchStats) -
 /// Wraps the five raw numbers of [`measure`] plus bookkeeping into a report.
 fn variant(
     numbers: (f64, f64, f64, f64, u64),
-    scratch_reallocations: Option<u64>,
+    scratch_reallocations: u64,
     bands: usize,
 ) -> VariantReport {
     let (frames_per_s, mean_frame_ms, allocs_per_frame, bytes_per_frame, peak_frame_bytes) =
@@ -308,45 +296,73 @@ fn variant(
     }
 }
 
-/// Measures one payload-ingest variant: warmup over every distinct payload,
-/// then the steady-state loop, reporting scratch growth like the decoded
-/// variants.
+/// Measures one variant with its own scratch: warmup over every distinct
+/// input, then the steady-state loop, reporting scratch growth.
+fn measure_variant<T>(
+    inputs: &[T],
+    measured: usize,
+    bands: usize,
+    mut extract: impl FnMut(&T, &mut ExtractionScratch) -> Vec<SegmentRecord>,
+) -> VariantReport {
+    let mut scratch = ExtractionScratch::new();
+    for input in inputs {
+        black_box(extract(input, &mut scratch));
+    }
+    let stats_before = scratch.stats();
+    let numbers = measure(inputs.len(), measured, |i| {
+        extract(&inputs[i], &mut scratch)
+    });
+    variant(
+        numbers,
+        scratch_growth(stats_before, scratch.stats()),
+        bands,
+    )
+}
+
+/// The four variants every profile reports.
 ///
 /// Payload variants run in the *serve* configuration — the wire protocol
 /// never carries ground-truth labels, so extraction sees `None` — while the
 /// decoded variants keep their labels for continuity with the historical
 /// `serial`/`banded` numbers.
-fn measure_payload(
+fn measure_variants(
+    frames: &[Frame],
     payloads: &[ProbPayload],
     measured: usize,
     config: &MetricsConfig,
-    layout: Option<F32ScanLayout>,
-    bands: usize,
-) -> VariantReport {
-    fn run(
-        payloads: &[ProbPayload],
-        config: &MetricsConfig,
-        layout: Option<F32ScanLayout>,
-        scratch: &mut ExtractionScratch,
-        i: usize,
-    ) -> Vec<SegmentRecord> {
-        metaseg::extract_frame_payload_layout(&payloads[i], None, config, scratch, layout)
-            .expect("bench payloads are well-formed")
-            .1
-    }
-    let mut scratch = ExtractionScratch::new();
-    for i in 0..payloads.len() {
-        black_box(run(payloads, config, layout, &mut scratch, i));
-    }
-    let stats_before = scratch.stats();
-    let numbers = measure(payloads.len(), measured, |i| {
-        run(payloads, config, layout, &mut scratch, i)
+    auto_bands: usize,
+) -> [VariantReport; 4] {
+    let serial = measure_variant(frames, measured, 1, |frame, scratch| {
+        frame_metrics_banded(
+            &frame.prediction,
+            frame.ground_truth.as_ref(),
+            config,
+            scratch,
+            1,
+        )
     });
-    variant(
-        numbers,
-        Some(scratch_growth(stats_before, scratch.stats())),
-        bands,
-    )
+    let banded = measure_variant(frames, measured, auto_bands, |frame, scratch| {
+        extract_frame(
+            &frame.prediction,
+            frame.ground_truth.as_ref(),
+            config,
+            scratch,
+        )
+        .1
+    });
+    let fused = |precision| {
+        measure_variant(payloads, measured, auto_bands, |payload, scratch| {
+            extract_frame_payload(payload, None, config, scratch, precision)
+                .expect("bench payloads are well-formed")
+                .1
+        })
+    };
+    [
+        serial,
+        banded,
+        fused(DispersionPrecision::F64),
+        fused(DispersionPrecision::F32),
+    ]
 }
 
 /// Measures the CI-gated ratio by *block-interleaving* the two variants:
@@ -390,12 +406,12 @@ fn interleaved_speedup(
         let started = Instant::now();
         for i in 0..distinct {
             black_box(
-                metaseg::extract_frame_payload_layout(
+                extract_frame_payload(
                     &payloads[i],
                     None,
                     config,
                     &mut fused_scratch,
-                    Some(DEFAULT_F32_LAYOUT),
+                    DispersionPrecision::F32,
                 )
                 .expect("bench payloads are well-formed"),
             );
@@ -435,84 +451,8 @@ fn profile_scene(name: &str, scene: &SceneConfig, options: &Options) -> SceneRep
     let measured = options.frames;
     let pixels = scene.width * scene.height;
     let auto_bands = metaseg::pipeline::auto_band_count(pixels, scene.height);
-
-    let legacy = variant(
-        measure(distinct, measured, |i| {
-            legacy_frame_metrics(
-                &frames[i].prediction,
-                frames[i].ground_truth.as_ref(),
-                &config,
-            )
-        }),
-        None,
-        1,
-    );
-
-    let mut scratch = ExtractionScratch::new();
-    for i in 0..distinct {
-        black_box(frame_metrics_banded(
-            &frames[i].prediction,
-            frames[i].ground_truth.as_ref(),
-            &config,
-            &mut scratch,
-            1,
-        ));
-    }
-    let stats_before = scratch.stats();
-    let numbers = measure(distinct, measured, |i| {
-        frame_metrics_banded(
-            &frames[i].prediction,
-            frames[i].ground_truth.as_ref(),
-            &config,
-            &mut scratch,
-            1,
-        )
-    });
-    let serial = variant(
-        numbers,
-        Some(scratch_growth(stats_before, scratch.stats())),
-        1,
-    );
-
-    let mut scratch = ExtractionScratch::new();
-    for i in 0..distinct {
-        black_box(frame_metrics_scratch(
-            &frames[i].prediction,
-            frames[i].ground_truth.as_ref(),
-            &config,
-            &mut scratch,
-        ));
-    }
-    let stats_before = scratch.stats();
-    let numbers = measure(distinct, measured, |i| {
-        frame_metrics_scratch(
-            &frames[i].prediction,
-            frames[i].ground_truth.as_ref(),
-            &config,
-            &mut scratch,
-        )
-    });
-    let banded = variant(
-        numbers,
-        Some(scratch_growth(stats_before, scratch.stats())),
-        auto_bands,
-    );
-
-    let fused_f64 = measure_payload(&payloads, measured, &config, None, auto_bands);
-    let fused_f32 = measure_payload(
-        &payloads,
-        measured,
-        &config,
-        Some(F32ScanLayout::PixelMajor),
-        auto_bands,
-    );
-    let fused_f32_tiled = measure_payload(
-        &payloads,
-        measured,
-        &config,
-        Some(F32ScanLayout::Tiled),
-        auto_bands,
-    );
+    let [serial, banded, fused_f64, fused_f32_tiled] =
+        measure_variants(&frames, &payloads, measured, &config, auto_bands);
 
     let report = SceneReport {
         width: scene.width,
@@ -520,30 +460,24 @@ fn profile_scene(name: &str, scene: &SceneConfig, options: &Options) -> SceneRep
         pixels,
         distinct_frames: distinct,
         measured_frames: measured,
-        speedup_serial_vs_legacy: serial.frames_per_s / legacy.frames_per_s.max(1e-9),
-        speedup_banded_vs_legacy: banded.frames_per_s / legacy.frames_per_s.max(1e-9),
         speedup_fused_vs_serial: interleaved_speedup(&frames, &payloads, measured, &config),
-        legacy,
         serial,
         banded,
         fused_f64,
-        fused_f32,
         fused_f32_tiled,
     };
     println!(
-        "{name} ({}x{}): legacy {:.1} frames/s, serial {:.1} ({:.0} allocs/frame), \
+        "{name} ({}x{}): serial {:.1} frames/s ({:.0} allocs/frame), \
          banded x{} {:.1} ({:.0} allocs/frame), fused-f64 {:.1}, \
-         fused-f32 {:.1}, fused-f32-tiled {:.1} — fused/serial {:.2}x",
+         fused-f32-tiled {:.1} — fused/serial {:.2}x",
         report.width,
         report.height,
-        report.legacy.frames_per_s,
         report.serial.frames_per_s,
         report.serial.allocs_per_frame,
         report.banded.bands,
         report.banded.frames_per_s,
         report.banded.allocs_per_frame,
         report.fused_f64.frames_per_s,
-        report.fused_f32.frames_per_s,
         report.fused_f32_tiled.frames_per_s,
         report.speedup_fused_vs_serial,
     );
@@ -570,7 +504,6 @@ struct CorpusProfileReport {
     serial: VariantReport,
     banded: VariantReport,
     fused_f64: VariantReport,
-    fused_f32: VariantReport,
     fused_f32_tiled: VariantReport,
     speedup_fused_vs_serial: f64,
 }
@@ -629,72 +562,8 @@ fn profile_corpus(options: &Options) -> CorpusProfileReport {
     let measured = options.frames;
     let config = MetricsConfig::default();
     let auto_bands = metaseg::pipeline::auto_band_count(width * height, height);
-
-    let mut scratch = ExtractionScratch::new();
-    for i in 0..distinct {
-        black_box(frame_metrics_banded(
-            &frames[i].prediction,
-            frames[i].ground_truth.as_ref(),
-            &config,
-            &mut scratch,
-            1,
-        ));
-    }
-    let stats_before = scratch.stats();
-    let numbers = measure(distinct, measured, |i| {
-        frame_metrics_banded(
-            &frames[i].prediction,
-            frames[i].ground_truth.as_ref(),
-            &config,
-            &mut scratch,
-            1,
-        )
-    });
-    let serial = variant(
-        numbers,
-        Some(scratch_growth(stats_before, scratch.stats())),
-        1,
-    );
-
-    let mut scratch = ExtractionScratch::new();
-    for i in 0..distinct {
-        black_box(frame_metrics_scratch(
-            &frames[i].prediction,
-            frames[i].ground_truth.as_ref(),
-            &config,
-            &mut scratch,
-        ));
-    }
-    let stats_before = scratch.stats();
-    let numbers = measure(distinct, measured, |i| {
-        frame_metrics_scratch(
-            &frames[i].prediction,
-            frames[i].ground_truth.as_ref(),
-            &config,
-            &mut scratch,
-        )
-    });
-    let banded = variant(
-        numbers,
-        Some(scratch_growth(stats_before, scratch.stats())),
-        auto_bands,
-    );
-
-    let fused_f64 = measure_payload(&payloads, measured, &config, None, auto_bands);
-    let fused_f32 = measure_payload(
-        &payloads,
-        measured,
-        &config,
-        Some(F32ScanLayout::PixelMajor),
-        auto_bands,
-    );
-    let fused_f32_tiled = measure_payload(
-        &payloads,
-        measured,
-        &config,
-        Some(F32ScanLayout::Tiled),
-        auto_bands,
-    );
+    let [serial, banded, fused_f64, fused_f32_tiled] =
+        measure_variants(&frames, &payloads, measured, &config, auto_bands);
 
     let report = CorpusProfileReport {
         bench: "extraction_profile_corpus".to_string(),
@@ -710,12 +579,11 @@ fn profile_corpus(options: &Options) -> CorpusProfileReport {
         serial,
         banded,
         fused_f64,
-        fused_f32,
         fused_f32_tiled,
     };
     println!(
         "corpus ({}x{}, {} frames): serial {:.1} frames/s, banded x{} {:.1}, \
-         fused-f64 {:.1}, fused-f32 {:.1}, fused-f32-tiled {:.1} — fused/serial {:.2}x",
+         fused-f64 {:.1}, fused-f32-tiled {:.1} — fused/serial {:.2}x",
         report.width,
         report.height,
         report.distinct_frames,
@@ -723,7 +591,6 @@ fn profile_corpus(options: &Options) -> CorpusProfileReport {
         report.banded.bands,
         report.banded.frames_per_s,
         report.fused_f64.frames_per_s,
-        report.fused_f32.frames_per_s,
         report.fused_f32_tiled.frames_per_s,
         report.speedup_fused_vs_serial,
     );
@@ -772,20 +639,12 @@ fn main() {
 
     let speedup = large_report.speedup_fused_vs_serial;
     println!(
-        "comparison: serial f64 {:.1} frames/s vs fused payload f32 ({}) {:.1} frames/s on the \
-         large scene ({speedup:.2}x; banded x{} {:.1} frames/s, {:.2}x vs legacy)",
+        "comparison: serial f64 {:.1} frames/s vs fused payload f32 (tiled) {:.1} frames/s on \
+         the large scene ({speedup:.2}x; banded x{} {:.1} frames/s)",
         large_report.serial.frames_per_s,
-        match DEFAULT_F32_LAYOUT {
-            F32ScanLayout::PixelMajor => "pixel-major",
-            F32ScanLayout::Tiled => "tiled",
-        },
-        match DEFAULT_F32_LAYOUT {
-            F32ScanLayout::PixelMajor => large_report.fused_f32.frames_per_s,
-            F32ScanLayout::Tiled => large_report.fused_f32_tiled.frames_per_s,
-        },
+        large_report.fused_f32_tiled.frames_per_s,
         large_report.banded.bands,
         large_report.banded.frames_per_s,
-        large_report.speedup_banded_vs_legacy,
     );
 
     let report = BenchReport {

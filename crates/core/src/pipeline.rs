@@ -33,12 +33,11 @@
 //!    each band folds into its own accumulator set on a scoped worker thread,
 //!    and the per-band partials are merged in band order through
 //!    `SegmentAccumulator::merge` (accumulators form a commutative monoid,
-//!    the merge is plain element-wise addition). Small frames stay serial —
-//!    and the serial path is **bit-identical** to the historical kernel
-//!    (pinned by a test against the retained [`baseline`]); banded results
-//!    agree within `1e-12` relative error for every band count (pinned by
-//!    the band-invariance property test) and exactly on areas, boundary
-//!    lengths and IoU targets, whose sums are integer arithmetic.
+//!    the merge is plain element-wise addition). Small frames stay serial;
+//!    banded results agree with the serial path within `1e-12` relative
+//!    error for every band count (pinned by the band-invariance property
+//!    test) and exactly on areas, boundary lengths and IoU targets, whose
+//!    sums are integer arithmetic.
 //!
 //! The pixel pass decides inner-boundary membership on the spot (a pixel is
 //! boundary iff a 4-neighbour lies outside its component or the image) and
@@ -49,34 +48,47 @@
 //! the same pass; the final IoU is pure integer arithmetic on the sorted,
 //! aggregated runs. An `O(segments)` epilogue assembles the metric vectors.
 //!
-//! Numerical equivalence to the naive formulation (retained as
-//! [`reference::naive_segment_metrics`]) is bounded at `1e-12` relative error
-//! by differential property tests; the pre-fusion single-pass kernel is
-//! retained as [`baseline::legacy_frame_metrics`] both as a second oracle
-//! (exact, for the serial path) and as the comparison baseline of the
-//! `extraction_profile` bench.
+//! # Numerical equivalence
+//!
+//! The one oracle is the naive formulation,
+//! [`reference::naive_segment_metrics`]: differential property tests bound
+//! the kernel's deviation from it at `1e-12` relative error, with and
+//! without ground truth. Exactness is pinned separately: the serial path's
+//! records (every float bit, IoU targets included) are checked against a
+//! committed digest, the golden corpus pins the served verdict bytes, and
+//! the f32 tiled scan is checked pixel by pixel against
+//! [`metaseg_data::DistributionScanF32`].
+//!
+//! # Entry points
+//!
+//! | entry point | input | scratch | bands |
+//! |---|---|---|---|
+//! | [`frame_metrics`] | [`ProbMap`] | thread-local | 1 |
+//! | [`frame_metrics_with_labels`] | [`ProbMap`] + Bayes label map | thread-local | 1 |
+//! | [`frame_metrics_banded`] | [`ProbMap`] | explicit | forced |
+//! | [`extract_frame`] | [`ProbMap`] | explicit | [`auto_band_count`] |
+//! | [`extract_frame_payload`] | [`ProbPayload`] | explicit | [`auto_band_count`] |
 //!
 //! # Parallelism layers
 //!
 //! [`FrameBatch`] parallelises *across frames* with `rayon` (frames are
 //! embarrassingly parallel); the band split above parallelises *within* a
 //! frame, which is what gives single-camera streaming multi-core scaling.
-//! The two layers never stack: the implicit thread-local entry points (what
-//! the frame-level fan-outs call) are always serial, while the
-//! explicit-scratch entry points use [`auto_band_count`] — a pure function
+//! The two layers never stack: the thread-local entry points (what the
+//! frame-level fan-outs call) are always serial, while [`extract_frame`]
+//! and [`extract_frame_payload`] use [`auto_band_count`] — a pure function
 //! of frame shape and machine, never of load or calling context, so a
 //! frame's exact float output is reproducible run over run. Across machines
 //! with different core counts, banded large-frame results may differ in the
 //! last bits (within the pinned `1e-12`); sub-threshold frames are
 //! bit-stable everywhere.
 
-pub mod baseline;
 pub mod reference;
 
 use crate::metrics::{MetricsConfig, SegmentRecord, BASE_METRIC_COUNT, METRIC_COUNT, NUM_CHANNELS};
 use metaseg_data::{
-    fast_ln_positive_f32, DataError, DistributionScan, DistributionScanF32, Frame, LabelMap,
-    ProbMap, ProbPayload, SemanticClass,
+    fast_ln_positive_f32, DataError, DistributionScan, Frame, LabelMap, ProbMap, ProbPayload,
+    SemanticClass,
 };
 use metaseg_imgproc::{ComponentLabels, Grid, Labeler};
 use rayon::prelude::*;
@@ -349,27 +361,27 @@ thread_local! {
     static THREAD_SCRATCH: RefCell<ExtractionScratch> = RefCell::new(ExtractionScratch::new());
 }
 
-/// Band count the explicit-scratch entry points select for a frame of
-/// `pixels` pixels spread over `rows` rows: `pixels / MIN_BAND_PIXELS`,
-/// capped by the machine's worker-thread count, [`MAX_BANDS`] and the row
-/// count, floored at 1 (serial).
+/// Band count [`extract_frame`] and [`extract_frame_payload`] select for a
+/// frame of `pixels` pixels spread over `rows` rows: `pixels /
+/// MIN_BAND_PIXELS`, capped by the machine's worker-thread count,
+/// [`MAX_BANDS`] and the row count, floored at 1 (serial).
 ///
 /// The count is a pure function of the frame shape and the machine — it
 /// deliberately ignores momentary load and calling context, so a frame's
 /// band split (and thus its exact float output) never depends on what else
 /// the process happens to be doing. Two caller classes exist:
 ///
-/// * the implicit thread-local entry points ([`frame_metrics`],
-///   [`frame_metrics_with_labels`], [`frame_metrics_with_components`]) are
-///   **always serial**: they are what the frame-level rayon fan-outs
-///   ([`FrameBatch`], `process_videos`, the serve micro-batch dispatch) call,
-///   where the cores are already taken and a second thread layer would only
-///   oversubscribe them — and serial output is bit-stable everywhere;
-/// * the explicit-scratch entry points ([`frame_metrics_scratch`],
-///   [`extract_frame`] — i.e. one streaming session driving one camera) use
-///   this count and gain intra-frame multi-core scaling. A deployment
-///   running many such sessions concurrently oversubscribes by at most
-///   `min(threads, MAX_BANDS)` bands each, a documented throughput
+/// * the thread-local entry points ([`frame_metrics`],
+///   [`frame_metrics_with_labels`]) are **always serial**: they are what the
+///   frame-level rayon fan-outs ([`FrameBatch`], `process_videos`, the serve
+///   micro-batch dispatch) call, where the cores are already taken and a
+///   second thread layer would only oversubscribe them — and serial output
+///   is bit-stable everywhere;
+/// * the explicit-scratch extractors ([`extract_frame`],
+///   [`extract_frame_payload`] — i.e. one streaming session driving one
+///   camera) use this count and gain intra-frame multi-core scaling. A
+///   deployment running many such sessions concurrently oversubscribes by at
+///   most `min(threads, MAX_BANDS)` bands each, a documented throughput
 ///   trade-off that never changes any output bit.
 ///
 /// Public so the `extraction_profile` bench reports the exact count the
@@ -408,14 +420,13 @@ pub fn worker_threads() -> usize {
 /// Drop-in replacement for the naive formulation (and what
 /// [`crate::metrics::segment_metrics`] delegates to): same records, same
 /// order, same semantics. Callers that own a frame loop should prefer
-/// [`frame_metrics_scratch`] (or [`extract_frame`] when they also need the
-/// components) with an explicitly owned scratch.
+/// [`extract_frame`] with an explicitly owned scratch.
 ///
 /// The thread-local scratch grows to the largest frame a thread has ever
 /// extracted and is retained for the thread's lifetime (that is what makes
 /// the steady state allocation-free). Memory-constrained batch jobs over
-/// very large frames should call [`frame_metrics_scratch`] with an owned
-/// scratch they can drop afterwards.
+/// very large frames should call [`extract_frame`] with an owned scratch
+/// they can drop afterwards.
 pub fn frame_metrics(
     prediction: &ProbMap,
     ground_truth: Option<&LabelMap>,
@@ -432,33 +443,11 @@ pub fn frame_metrics(
     })
 }
 
-/// [`frame_metrics`] with an explicit reusable scratch and automatic band
-/// selection ([`auto_band_count`]) — the entry point for a caller that owns
-/// a frame loop, e.g. one streaming session.
-pub fn frame_metrics_scratch(
-    prediction: &ProbMap,
-    ground_truth: Option<&LabelMap>,
-    config: &MetricsConfig,
-    scratch: &mut ExtractionScratch,
-) -> Vec<SegmentRecord> {
-    let (width, height) = prediction.shape();
-    let bands = auto_band_count(width * height, height);
-    run_kernel(
-        FrameView::of(prediction),
-        IdsSource::Fused,
-        ground_truth,
-        config,
-        &mut scratch.kernel,
-        bands,
-        ScanMode::PixelMajor,
-    )
-    .1
-}
-
-/// [`frame_metrics_scratch`] with a forced band count — the testing and
-/// benchmarking hook behind the band-invariance property test and the
-/// `extraction_profile` serial/banded comparison. `bands` is clamped to the
-/// frame's row count; `1` forces the serial path.
+/// [`frame_metrics`] with an explicit reusable scratch and a forced band
+/// count — the testing and benchmarking hook behind the band-invariance
+/// property test, the serial-path digest and the `extraction_profile`
+/// serial/banded comparison. `bands` is clamped to the frame's row count;
+/// `1` forces the serial path.
 pub fn frame_metrics_banded(
     prediction: &ProbMap,
     ground_truth: Option<&LabelMap>,
@@ -474,50 +463,41 @@ pub fn frame_metrics_banded(
         config,
         &mut scratch.kernel,
         bands,
-        ScanMode::PixelMajor,
     )
     .1
 }
 
-/// Full fused extraction that also exposes the frame's connected components
-/// (borrowed from the scratch's labeler) — the streaming engine's entry
-/// point, which shares one labelling per frame between metric extraction and
-/// the incremental tracker.
+/// Full fused extraction with an explicit reusable scratch and automatic
+/// band selection ([`auto_band_count`]) that also exposes the frame's
+/// connected components (borrowed from the scratch's labeler) — the
+/// streaming engine's entry point, which shares one labelling per frame
+/// between metric extraction and the incremental tracker.
 pub fn extract_frame<'s>(
     prediction: &ProbMap,
     ground_truth: Option<&LabelMap>,
     config: &MetricsConfig,
     scratch: &'s mut ExtractionScratch,
 ) -> (&'s ComponentLabels, Vec<SegmentRecord>) {
-    let (width, height) = prediction.shape();
-    let bands = auto_band_count(width * height, height);
-    run_kernel(
-        FrameView::of(prediction),
-        IdsSource::Fused,
-        ground_truth,
-        config,
-        &mut scratch.kernel,
-        bands,
-        ScanMode::PixelMajor,
-    )
+    let view = FrameView::of(prediction);
+    run_kernel_auto(view, ground_truth, config, &mut scratch.kernel)
 }
 
 /// Extracts metrics and components straight from a wire payload, without
 /// materialising a [`ProbMap`] — the zero-copy serve path.
 ///
-/// The payload's bytes dequantize directly into a reusable ingest plane of
-/// the scratch (`u16` quantized, `f32` and `f64` payloads alike), and the
-/// fused kernel runs over that plane. With [`DispersionPrecision::F64`] the
-/// records are **bit-identical** to decoding the payload into a `ProbMap`
-/// first and calling [`extract_frame`] (pinned by a property test); with
-/// [`DispersionPrecision::F32`] the scan takes the single-precision fast
-/// path (layout: [`DEFAULT_F32_LAYOUT`]).
+/// With [`DispersionPrecision::F64`] the payload's bytes dequantize into a
+/// reusable `f64` ingest plane of the scratch and the records are
+/// **bit-identical** to decoding the payload into a `ProbMap` first and
+/// calling [`extract_frame`] (pinned by a property test). With
+/// [`DispersionPrecision::F32`] the scan takes the single-precision tiled
+/// fast path: quantized payloads are scanned in place, float payloads
+/// through a reusable `f32` ingest plane.
 ///
 /// # Errors
 ///
 /// Returns the typed [`DataError`]s of [`ProbPayload::decode`] when the
-/// declared shape is inconsistent with the byte length; the scratch is left
-/// reusable.
+/// declared shape is inconsistent with the byte length (or overflows); the
+/// scratch is left reusable.
 pub fn extract_frame_payload<'s>(
     payload: &ProbPayload,
     ground_truth: Option<&LabelMap>,
@@ -525,112 +505,32 @@ pub fn extract_frame_payload<'s>(
     scratch: &'s mut ExtractionScratch,
     precision: DispersionPrecision,
 ) -> Result<(&'s ComponentLabels, Vec<SegmentRecord>), DataError> {
-    let layout = match precision {
-        DispersionPrecision::F64 => None,
-        DispersionPrecision::F32 => Some(DEFAULT_F32_LAYOUT),
-    };
-    extract_frame_payload_layout(payload, ground_truth, config, scratch, layout)
-}
-
-/// [`extract_frame_payload`] with an explicit f32 scan layout (`None` forces
-/// the exact f64 path) — the benchmarking and testing hook behind the
-/// `extraction_profile` layout comparison and the layout-equivalence test.
-///
-/// # Errors
-///
-/// Same as [`extract_frame_payload`].
-pub fn extract_frame_payload_layout<'s>(
-    payload: &ProbPayload,
-    ground_truth: Option<&LabelMap>,
-    config: &MetricsConfig,
-    scratch: &'s mut ExtractionScratch,
-    layout: Option<F32ScanLayout>,
-) -> Result<(&'s ComponentLabels, Vec<SegmentRecord>), DataError> {
-    let bands = auto_band_count(payload.width * payload.height, payload.height);
     let ExtractionScratch { ingest, kernel } = scratch;
-    match layout {
-        None => {
+    Ok(match precision {
+        DispersionPrecision::F64 => {
             payload.decode_values_into(&mut ingest.decoded_f64)?;
-            let view = FrameView {
-                width: payload.width,
-                height: payload.height,
-                channels: payload.channels,
-                values: ingest.decoded_f64.as_slice(),
-            };
-            Ok(run_kernel(
-                view,
-                IdsSource::Fused,
-                ground_truth,
-                config,
-                kernel,
-                bands,
-                ScanMode::PixelMajor,
-            ))
+            let view = FrameView::decoded(payload, ingest.decoded_f64.as_slice());
+            run_kernel_auto(view, ground_truth, config, kernel)
         }
-        Some(layout) => {
-            let mode = match layout {
-                F32ScanLayout::PixelMajor => ScanMode::PixelMajor,
-                F32ScanLayout::Tiled => ScanMode::Tiled,
-            };
-            // Quantized payloads are scanned *in place*: the kernel reads
-            // the little-endian byte pairs straight out of the wire buffer,
-            // dequantizing in-register at the point of use (scan gather and
-            // fold widening), so the densest wire encoding never
-            // materialises a decoded plane of any width. The floats
-            // produced are bit-identical to dequantizing into an `f32`
-            // plane first (same formula per value, pinned by test).
-            if let Some(pairs) = payload.quantized_pairs()? {
-                let view = FrameView {
-                    width: payload.width,
-                    height: payload.height,
-                    channels: payload.channels,
-                    values: pairs,
-                };
-                return Ok(run_kernel(
-                    view,
-                    IdsSource::Fused,
-                    ground_truth,
-                    config,
-                    kernel,
-                    bands,
-                    mode,
-                ));
+        // Quantized payloads are scanned *in place*: the kernel reads the
+        // little-endian byte pairs straight out of the wire buffer,
+        // dequantizing in-register at the point of use (scan gather and fold
+        // widening), so the densest wire encoding never materialises a
+        // decoded plane of any width. The floats produced are bit-identical
+        // to dequantizing into an `f32` plane first (same formula per value,
+        // pinned by test).
+        DispersionPrecision::F32 => match payload.quantized_pairs()? {
+            Some(pairs) => {
+                let view = FrameView::decoded(payload, pairs);
+                run_kernel_auto(view, ground_truth, config, kernel)
             }
-            payload.decode_values_into_f32(&mut ingest.decoded_f32)?;
-            let view = FrameView {
-                width: payload.width,
-                height: payload.height,
-                channels: payload.channels,
-                values: ingest.decoded_f32.as_slice(),
-            };
-            Ok(run_kernel(
-                view,
-                IdsSource::Fused,
-                ground_truth,
-                config,
-                kernel,
-                bands,
-                mode,
-            ))
-        }
-    }
-}
-
-/// [`frame_metrics`] over a wire payload: the record-only form of
-/// [`extract_frame_payload`].
-///
-/// # Errors
-///
-/// Same as [`extract_frame_payload`].
-pub fn frame_metrics_payload(
-    payload: &ProbPayload,
-    ground_truth: Option<&LabelMap>,
-    config: &MetricsConfig,
-    scratch: &mut ExtractionScratch,
-    precision: DispersionPrecision,
-) -> Result<Vec<SegmentRecord>, DataError> {
-    extract_frame_payload(payload, ground_truth, config, scratch, precision)
-        .map(|(_, records)| records)
+            None => {
+                payload.decode_values_into_f32(&mut ingest.decoded_f32)?;
+                let view = FrameView::decoded(payload, ingest.decoded_f32.as_slice());
+                run_kernel_auto(view, ground_truth, config, kernel)
+            }
+        },
+    })
 }
 
 /// [`frame_metrics`] with a caller-supplied Bayes label map of `prediction`.
@@ -653,32 +553,6 @@ pub fn frame_metrics_with_labels(
             config,
             &mut scratch.borrow_mut().kernel,
             1,
-            ScanMode::PixelMajor,
-        )
-        .1
-    })
-}
-
-/// [`frame_metrics_with_labels`] with caller-supplied connected components
-/// of the Bayes label map.
-///
-/// `components` must come from the same label map and connectivity as
-/// `config.connectivity`.
-pub fn frame_metrics_with_components(
-    prediction: &ProbMap,
-    components: &ComponentLabels,
-    ground_truth: Option<&LabelMap>,
-    config: &MetricsConfig,
-) -> Vec<SegmentRecord> {
-    THREAD_SCRATCH.with(|scratch| {
-        run_kernel(
-            FrameView::of(prediction),
-            IdsSource::Components(components),
-            ground_truth,
-            config,
-            &mut scratch.borrow_mut().kernel,
-            1,
-            ScanMode::PixelMajor,
         )
         .1
     })
@@ -690,20 +564,19 @@ enum IdsSource<'a> {
     Fused,
     /// Label a caller-supplied class-id grid.
     Ids(&'a Grid<u16>),
-    /// Use caller-supplied components as-is.
-    Components(&'a ComponentLabels),
 }
 
 /// Numeric precision of the per-pixel dispersion scan.
 ///
-/// [`DispersionPrecision::F64`] (the default) reproduces the historical
-/// kernel bit for bit. [`DispersionPrecision::F32`] is the opt-in fast path:
-/// payload values dequantize to `f32` and the scan runs branch-free with a
-/// polynomial logarithm ([`metaseg_data::DistributionScanF32`]), trading
+/// [`DispersionPrecision::F64`] (the default) is the exact scan, bit-identical
+/// to [`extract_frame`] over the decoded [`ProbMap`].
+/// [`DispersionPrecision::F32`] is the opt-in fast path: payload values
+/// dequantize to `f32` and the tiled scan runs branch-free with a polynomial
+/// logarithm (per pixel, [`metaseg_data::DistributionScanF32`]), trading
 /// `~1e-5` absolute dispersion error for SIMD-width throughput. Only the
-/// scan narrows — dispersion planes, per-segment accumulation and the
-/// epilogue stay `f64`, so downstream aggregates do not drift with segment
-/// size. Lossy wire encodings (`f32`/`u16`) already bound payload fidelity
+/// scan narrows — its results widen exactly into the `f64` per-segment
+/// accumulation and epilogue, so downstream aggregates do not drift with
+/// segment size. Lossy wire encodings (`f32`/`u16`) already bound payload fidelity
 /// above that error, which is why the serve path can negotiate this
 /// per-connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -740,46 +613,13 @@ impl std::fmt::Display for DispersionPrecision {
     }
 }
 
-/// Memory layout the f32 fused scan iterates in.
-///
-/// Both layouts produce identical floats (pinned by a test) — they differ
-/// only in how the channel axis reaches the vector units, so the
-/// `extraction_profile` bench measures both and the default
-/// ([`DEFAULT_F32_LAYOUT`]) is whichever wins on the bench scenes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum F32ScanLayout {
-    /// Scan each pixel's contiguous channel vector in place (the storage
-    /// order of the wire payload).
-    PixelMajor,
-    /// Transpose [`TILE_LANES`] pixels at a time into a channel-major
-    /// scratch tile, then run every compute loop over contiguous
-    /// fixed-width lane arrays.
-    Tiled,
-}
-
-/// Pixels per channel-major tile of [`F32ScanLayout::Tiled`]: 256 lanes ×
-/// 19 channels × 4 bytes ≈ 19 KiB, which together with the four 1 KiB lane
+/// Pixels per channel-major tile of the f32 tiled scan: 256 lanes × 19
+/// channels × 4 bytes ≈ 19 KiB, which together with the four 1 KiB lane
 /// accumulators still fits L1 while amortising the per-tile fixed costs
 /// (accumulator reset and plane writeback) over four times the pixels of
 /// the original 64-lane tile — worth ~7% whole-kernel throughput on the
 /// large bench scene. 512 lanes spills L1 and plateaus.
 pub const TILE_LANES: usize = 256;
-
-/// The f32 scan layout [`DispersionPrecision::F32`] dispatches to — the
-/// winner of the `extraction_profile` layout comparison on the bench scenes
-/// (the channel-major tile beats the pixel-major walk by ~1.5x on the large
-/// scene: its fixed-width lane loops are the shape the autovectoriser
-/// actually vectorises).
-pub const DEFAULT_F32_LAYOUT: F32ScanLayout = F32ScanLayout::Tiled;
-
-/// How the scan stage walks the decoded values; only the f32 kernel
-/// distinguishes the two (the f64 scan is pinned to the historical
-/// pixel-major loop for bit-identity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScanMode {
-    PixelMajor,
-    Tiled,
-}
 
 /// A borrowed frame of decoded softmax values in pixel-major storage order
 /// (`values[(y * width + x) * channels + c]`) — what the kernel actually
@@ -806,32 +646,50 @@ impl<'a> FrameView<'a, f64> {
     }
 }
 
+impl<'a, V> FrameView<'a, V> {
+    /// Views `values` decoded from `payload`. Built only after the codec
+    /// has accepted the payload's declared shape, so [`run_kernel_auto`]'s
+    /// band count cannot overflow on a malformed one.
+    fn decoded(payload: &ProbPayload, values: &'a [V]) -> Self {
+        Self {
+            width: payload.width,
+            height: payload.height,
+            channels: payload.channels,
+            values,
+        }
+    }
+}
+
 /// One band's slices of the dispersion planes, split off for the scan stage.
 struct ScanPart<'p, P> {
     /// Flat pixel index of the band's first pixel.
     offset: usize,
-    /// How the f32 scan walks the values (ignored by the f64 scan).
-    mode: ScanMode,
     entropy: &'p mut [P],
     margin: &'p mut [P],
     variation: &'p mut [P],
     top1: &'p mut [P],
     argmax: &'p mut [u16],
-    /// Channel-major scratch tile (used by the f32 tiled layout only).
+    /// Channel-major scratch tile (used by the f32 tiled scan only).
     tile: &'p mut Vec<f32>,
 }
 
 /// A softmax value type the kernel can scan and fold.
 ///
-/// Three implementations exist: `f64`, whose scan is the verbatim
-/// historical loop over [`DistributionScan`] (bit-identical to
-/// [`baseline::legacy_frame_metrics`], pinned by test); `f32`, the
-/// branch-free fast path; and `[u8; 2]`, the little-endian byte pair of one
-/// quantized wire value scanned in place, which runs the same f32 fast path
-/// but dequantizes at the point of use ([`dequant_u16`] is the `f32`
-/// dequantization formula of [`ProbPayload::decode_values_into_f32`], so
-/// the two routes produce identical floats). Everything after the scan
-/// (labelling, fold, epilogue) accumulates in `f64` for all three.
+/// Three implementations exist, one per decoded-value source:
+///
+/// * `f64` — a [`ProbMap`] or an f64-decoded payload. Its scan is the exact
+///   pixel-major loop over [`DistributionScan`], whose serial records are
+///   pinned bit for bit by the committed digest test;
+/// * `f32` — a float payload decoded to single precision, scanned by the
+///   branch-free tiled fast path ([`scan_band_tiled`]);
+/// * `[u8; 2]` — the little-endian byte pair of one quantized wire value,
+///   scanned in place by the same tiled fast path, dequantizing at the point
+///   of use ([`dequant_u16`] is the `f32` dequantization formula of
+///   [`ProbPayload::decode_values_into_f32`], so the two routes produce
+///   identical floats).
+///
+/// Everything after the scan (labelling, fold, epilogue) accumulates in
+/// `f64` for all three.
 trait ProbValue: Copy + Send + Sync {
     /// Storage precision of the dispersion planes this scan fills.
     type Plane: PlaneValue;
@@ -840,13 +698,17 @@ trait ProbValue: Copy + Send + Sync {
         planes: &'a mut MetricPlanes<f64>,
         planes32: &'a mut MetricPlanes<f32>,
     ) -> &'a mut MetricPlanes<Self::Plane>;
-    /// Scans one band's pixels into its dispersion-plane slices.
+    /// Scans one band's pixels into its dispersion-plane slices: the f32
+    /// tiled fast path unless the value type overrides it.
+    #[inline]
     fn scan_band(
         values: &[Self],
         channels: usize,
         part: &mut ScanPart<'_, Self::Plane>,
         wants_argmax: bool,
-    );
+    ) {
+        scan_band_tiled(values, channels, part, wants_argmax);
+    }
     /// The `f32` probability the tiled gather moves into its lane column.
     fn to_f32(self) -> f32;
     /// Widens one probability for the f64 class-probability accumulation.
@@ -899,8 +761,8 @@ impl ProbValue for f64 {
 
     #[inline]
     fn to_f32(self) -> f32 {
-        // The f64 path never runs the tiled layout (its scan is pinned to
-        // the historical pixel-major loop); honest narrowing regardless.
+        // The f64 scan overrides the tiled default, so nothing gathers f64
+        // values into a tile; honest narrowing regardless.
         self as f32
     }
 
@@ -923,31 +785,6 @@ impl ProbValue for f32 {
         planes32: &'a mut MetricPlanes<f32>,
     ) -> &'a mut MetricPlanes<f32> {
         planes32
-    }
-
-    #[inline]
-    fn scan_band(
-        values: &[f32],
-        channels: usize,
-        part: &mut ScanPart<'_, f32>,
-        wants_argmax: bool,
-    ) {
-        if part.mode == ScanMode::Tiled {
-            return scan_band_tiled(values, channels, part, wants_argmax);
-        }
-        let inv_ln_n = 1.0 / (channels as f32).ln();
-        let start = part.offset;
-        for i in 0..part.entropy.len() {
-            let dist = &values[(start + i) * channels..(start + i + 1) * channels];
-            let scan = DistributionScanF32::of(dist);
-            part.entropy[i] = (scan.raw_entropy * inv_ln_n).clamp(0.0, 1.0);
-            part.margin[i] = scan.margin();
-            part.variation[i] = scan.variation_ratio();
-            part.top1[i] = scan.top1;
-            if wants_argmax {
-                part.argmax[i] = scan.argmax as u16;
-            }
-        }
     }
 
     #[inline]
@@ -984,48 +821,6 @@ impl ProbValue for [u8; 2] {
     }
 
     #[inline]
-    fn scan_band(
-        values: &[[u8; 2]],
-        channels: usize,
-        part: &mut ScanPart<'_, f32>,
-        wants_argmax: bool,
-    ) {
-        if part.mode == ScanMode::Tiled {
-            return scan_band_tiled(values, channels, part, wants_argmax);
-        }
-        let inv_ln_n = 1.0 / (channels as f32).ln();
-        let start = part.offset;
-        let ScanPart {
-            entropy,
-            margin,
-            variation,
-            top1,
-            argmax,
-            tile,
-            ..
-        } = part;
-        // The tile doubles as the per-pixel dequantization staging slot —
-        // pixel-major keeps only one channel vector live at a time.
-        if tile.len() < channels {
-            tile.resize(channels, 0.0);
-        }
-        for i in 0..entropy.len() {
-            let dist = &values[(start + i) * channels..(start + i + 1) * channels];
-            for (d, &pair) in tile[..channels].iter_mut().zip(dist) {
-                *d = pair.to_f32();
-            }
-            let scan = DistributionScanF32::of(&tile[..channels]);
-            entropy[i] = (scan.raw_entropy * inv_ln_n).clamp(0.0, 1.0);
-            margin[i] = scan.margin();
-            variation[i] = scan.variation_ratio();
-            top1[i] = scan.top1;
-            if wants_argmax {
-                argmax[i] = scan.argmax as u16;
-            }
-        }
-    }
-
-    #[inline]
     fn to_f32(self) -> f32 {
         dequant_u16(u16::from_le_bytes(self))
     }
@@ -1046,10 +841,11 @@ impl ProbValue for [u8; 2] {
 /// [`ProbValue::to_f32`] as it moves it into its lane column (the identity
 /// for `f32` planes; the in-register dequantization for wire byte pairs),
 /// so the tile handed to the compute is bit-identical whichever source fed
-/// it. Produces exactly the same floats as the pixel-major f32 scan: per
-/// lane it performs the identical operation sequence along the channel
-/// axis, only interleaved across lanes (pinned by
-/// `f32_scan_layouts_agree_bit_exactly`).
+/// it. Per lane it performs the operation sequence of
+/// [`metaseg_data::DistributionScanF32::of`] along the channel axis, only interleaved
+/// across lanes, so every pixel's outputs equal that per-pixel scan's
+/// followed by the same clamps (pinned by
+/// `tiled_scan_matches_per_pixel_distribution_scan`).
 fn scan_band_tiled<V: ProbValue>(
     values: &[V],
     channels: usize,
@@ -1128,8 +924,8 @@ fn scan_tile_lanes<P: PlaneValue>(
         for (lane, &p) in row.iter().enumerate() {
             // The same compare-and-select dropout sanitiser as
             // `DistributionScanF32::of`, applied at the same point of the
-            // operation sequence — what keeps the tiled layout bit-identical
-            // to the pixel-major scan on NaN-striped dropout frames too.
+            // operation sequence — what keeps the tiled scan bit-identical
+            // to the per-pixel scan on NaN-striped dropout frames too.
             let p = if p.is_finite() { p } else { 0.0 };
             entropy[lane] -= p * fast_ln_positive_f32(p);
             let prev = first[lane];
@@ -1166,6 +962,25 @@ fn band_rows(height: usize, bands: usize, band: usize) -> std::ops::Range<usize>
     start..end
 }
 
+/// [`run_kernel`] with the fused argmax plane at the frame's
+/// [`auto_band_count`].
+fn run_kernel_auto<'s, V: ProbValue>(
+    frame: FrameView<'_, V>,
+    ground_truth: Option<&LabelMap>,
+    config: &MetricsConfig,
+    scratch: &'s mut KernelScratch,
+) -> (&'s ComponentLabels, Vec<SegmentRecord>) {
+    let bands = auto_band_count(frame.width * frame.height, frame.height);
+    run_kernel(
+        frame,
+        IdsSource::Fused,
+        ground_truth,
+        config,
+        scratch,
+        bands,
+    )
+}
+
 /// The extraction kernel: fused scan → labelling → banded fold → epilogue.
 fn run_kernel<'s, V: ProbValue>(
     frame: FrameView<'_, V>,
@@ -1174,7 +989,6 @@ fn run_kernel<'s, V: ProbValue>(
     config: &MetricsConfig,
     scratch: &'s mut KernelScratch,
     band_count: usize,
-    mode: ScanMode,
 ) -> (&'s ComponentLabels, Vec<SegmentRecord>) {
     let FrameView { width, height, .. } = frame;
     let pixels = width * height;
@@ -1245,7 +1059,6 @@ fn run_kernel<'s, V: ProbValue>(
                 rest_a = ta;
                 parts.push(ScanPart {
                     offset: rows.start * width,
-                    mode,
                     entropy: e,
                     margin: m,
                     variation: v,
@@ -1281,7 +1094,6 @@ fn run_kernel<'s, V: ProbValue>(
             config.connectivity,
         ),
         IdsSource::Ids(grid) => labeler.label(grid, config.connectivity),
-        IdsSource::Components(components) => components,
     };
     let segment_count = components.component_count();
     let gt_components: Option<&ComponentLabels> = match ground_truth {
@@ -1465,9 +1277,9 @@ fn run_kernel<'s, V: ProbValue>(
 
 /// Folds the pixels of one horizontal band into the band's accumulators.
 ///
-/// The loop body performs the exact additions of the historical kernel in
-/// the same row-major order, so a single band reproduces it bit-exactly;
-/// per-band partials merge in band order.
+/// The loop body adds pixels in row-major order, so a single band's sums —
+/// and thus the serial path's records — are fixed bit for bit (pinned by
+/// the serial-path digest test); per-band partials merge in band order.
 #[allow(clippy::too_many_arguments)]
 fn fold_band<V: ProbValue>(
     state: &mut BandState,
@@ -1722,22 +1534,51 @@ mod tests {
         assert_eq!(left.non_void, 4);
     }
 
-    /// The serial fused kernel is *bit-identical* to the retained pre-fusion
-    /// kernel — every float of every record, including centroids and IoU
-    /// targets. This is what keeps the golden corpus stable across the
-    /// refactor.
+    /// Appends every field of every record — floats as raw bits — to `out`.
+    fn record_bits(records: &[SegmentRecord], out: &mut Vec<u8>) {
+        out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        for r in records {
+            out.extend_from_slice(&(r.region_id as u64).to_le_bytes());
+            out.extend_from_slice(&r.class.id().to_le_bytes());
+            out.extend_from_slice(&(r.area as u64).to_le_bytes());
+            out.extend_from_slice(&(r.boundary_length as u64).to_le_bytes());
+            out.extend_from_slice(&r.centroid.0.to_bits().to_le_bytes());
+            out.extend_from_slice(&r.centroid.1.to_bits().to_le_bytes());
+            out.extend_from_slice(&(r.metrics.len() as u64).to_le_bytes());
+            for m in &r.metrics {
+                out.extend_from_slice(&m.to_bits().to_le_bytes());
+            }
+            match r.iou {
+                Some(iou) => {
+                    out.push(1);
+                    out.extend_from_slice(&iou.to_bits().to_le_bytes());
+                }
+                None => out.push(0),
+            }
+        }
+    }
+
+    /// The serial kernel is pinned *bit for bit* — every float of every
+    /// record, centroids and IoU targets included — by a CRC-32 digest of
+    /// the records' raw bits over seeded frames with and without ground
+    /// truth. The serial kernel and the pre-fusion single-pass kernel it
+    /// replaced both produced exactly this digest. The golden corpus
+    /// extracts without ground truth, so this is the exact pin on the IoU
+    /// targets.
     #[test]
-    fn serial_kernel_is_bit_identical_to_legacy_kernel() {
+    fn serial_kernel_matches_committed_digest() {
         let frames = simulated_frames(3, 77, NetworkProfile::weak());
         let config = MetricsConfig::default();
         let mut scratch = ExtractionScratch::new();
+        let mut bits = Vec::new();
         for frame in &frames {
             for gt in [frame.ground_truth.as_ref(), None] {
-                let fused = frame_metrics_banded(&frame.prediction, gt, &config, &mut scratch, 1);
-                let legacy = baseline::legacy_frame_metrics(&frame.prediction, gt, &config);
-                assert_eq!(fused, legacy);
+                let records = frame_metrics_banded(&frame.prediction, gt, &config, &mut scratch, 1);
+                record_bits(&records, &mut bits);
             }
         }
+        assert_eq!(bits.len(), 145_236);
+        assert_eq!(metaseg_data::crc32(&bits), 0x8bd2_bb31);
     }
 
     /// One scratch serving frames of different shapes produces records
@@ -1762,18 +1603,15 @@ mod tests {
         let mut shared = ExtractionScratch::new();
         let mut first_pass = Vec::new();
         for frame in &frames {
-            let records = frame_metrics_scratch(
+            let gt = frame.ground_truth.as_ref();
+            let records = extract_frame(&frame.prediction, gt, &config, &mut shared).1;
+            let fresh = extract_frame(
                 &frame.prediction,
-                frame.ground_truth.as_ref(),
-                &config,
-                &mut shared,
-            );
-            let fresh = frame_metrics_scratch(
-                &frame.prediction,
-                frame.ground_truth.as_ref(),
+                gt,
                 &config,
                 &mut ExtractionScratch::new(),
-            );
+            )
+            .1;
             assert_eq!(records, fresh, "reused scratch must not leak state");
             first_pass.push(records);
         }
@@ -1781,12 +1619,8 @@ mod tests {
         // without growing any buffer.
         let stats_after_first_pass = shared.stats();
         for (frame, expected) in frames.iter().zip(&first_pass) {
-            let records = frame_metrics_scratch(
-                &frame.prediction,
-                frame.ground_truth.as_ref(),
-                &config,
-                &mut shared,
-            );
+            let gt = frame.ground_truth.as_ref();
+            let records = extract_frame(&frame.prediction, gt, &config, &mut shared).1;
             assert_eq!(&records, expected);
         }
         assert_eq!(
@@ -1796,38 +1630,83 @@ mod tests {
         );
     }
 
-    /// The two f32 scan layouts perform the identical per-lane operation
-    /// sequence, so they must agree on every float of every record — the
-    /// layout choice is purely a throughput question.
+    /// Runs [`scan_band_tiled`] over the band of `len` pixels starting at
+    /// pixel `offset` and checks every pixel against
+    /// [`DistributionScanF32::of`] of its `to_f32` values followed by the
+    /// kernel's entropy normalisation and clamp — bit for bit (any NaN
+    /// matches any NaN).
+    fn assert_tiled_scan_matches_per_pixel<V: ProbValue<Plane = f32>>(
+        values: &[V],
+        channels: usize,
+        offset: usize,
+        len: usize,
+    ) {
+        use metaseg_data::DistributionScanF32;
+        let (mut entropy, mut margin, mut variation, mut top1) = (
+            vec![0f32; len],
+            vec![0f32; len],
+            vec![0f32; len],
+            vec![0f32; len],
+        );
+        let mut argmax = vec![0u16; len];
+        let mut tile = Vec::new();
+        let mut part = ScanPart {
+            offset,
+            entropy: &mut entropy,
+            margin: &mut margin,
+            variation: &mut variation,
+            top1: &mut top1,
+            argmax: &mut argmax,
+            tile: &mut tile,
+        };
+        scan_band_tiled(values, channels, &mut part, true);
+        let inv_ln_n = 1.0 / (channels as f32).ln();
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        for i in 0..len {
+            let dist: Vec<f32> = values[(offset + i) * channels..][..channels]
+                .iter()
+                .map(|v| v.to_f32())
+                .collect();
+            let scan = DistributionScanF32::of(&dist);
+            let expected = [
+                (scan.raw_entropy * inv_ln_n).clamp(0.0, 1.0),
+                scan.margin(),
+                scan.variation_ratio(),
+                scan.top1,
+            ];
+            let got = [entropy[i], margin[i], variation[i], top1[i]];
+            assert!(
+                got.iter().zip(expected).all(|(&g, e)| same(g, e)),
+                "pixel {i}, {channels} channels: tiled {got:?} vs per-pixel {expected:?}"
+            );
+            assert_eq!(argmax[i], scan.argmax as u16, "pixel {i} argmax");
+        }
+    }
+
+    /// The tiled f32 scan equals the per-pixel reference scan on every
+    /// pixel, for `f32` and in-place quantized sources, with a NaN stripe
+    /// (plus an infinity and an all-zero pixel), one-channel frames, and a
+    /// band that starts mid-frame and spans two full tiles plus a ragged
+    /// tail.
     #[test]
-    fn f32_scan_layouts_agree_bit_exactly() {
-        use metaseg_data::{ProbEncoding, ProbPayload};
-        let frames = simulated_frames(2, 404, NetworkProfile::weak());
-        let config = MetricsConfig::default();
-        let mut scratch = ExtractionScratch::new();
-        for frame in &frames {
-            for encoding in [ProbEncoding::U16, ProbEncoding::F32, ProbEncoding::F64] {
-                let payload = ProbPayload::encode(&frame.prediction, encoding);
-                let pixel_major = extract_frame_payload_layout(
-                    &payload,
-                    frame.ground_truth.as_ref(),
-                    &config,
-                    &mut scratch,
-                    Some(F32ScanLayout::PixelMajor),
-                )
-                .unwrap()
-                .1;
-                let tiled = extract_frame_payload_layout(
-                    &payload,
-                    frame.ground_truth.as_ref(),
-                    &config,
-                    &mut scratch,
-                    Some(F32ScanLayout::Tiled),
-                )
-                .unwrap()
-                .1;
-                assert_eq!(pixel_major, tiled, "{encoding:?} layouts diverge");
-            }
+    fn tiled_scan_matches_per_pixel_distribution_scan() {
+        let mut rng = StdRng::seed_from_u64(6060);
+        let pixels = 2 * TILE_LANES + 90;
+        let (offset, len) = (13, 2 * TILE_LANES + 71);
+        assert_ne!(len % TILE_LANES, 0);
+        for channels in [1usize, 2, 19] {
+            let mut values: Vec<f32> = (0..pixels * channels)
+                .map(|_| rng.gen::<f64>() as f32)
+                .collect();
+            values[40 * channels..60 * channels].fill(f32::NAN);
+            values[70 * channels] = f32::INFINITY;
+            values[80 * channels..81 * channels].fill(0.0);
+            assert_tiled_scan_matches_per_pixel(&values, channels, offset, len);
+
+            let quantized: Vec<[u8; 2]> = (0..pixels * channels)
+                .map(|_| (rng.gen::<u32>() as u16).to_le_bytes())
+                .collect();
+            assert_tiled_scan_matches_per_pixel(&quantized, channels, offset, len);
         }
     }
 
@@ -1842,22 +1721,25 @@ mod tests {
         let mut scratch = ExtractionScratch::new();
         for frame in &frames {
             let payload = ProbPayload::encode(&frame.prediction, ProbEncoding::F64);
-            let exact = frame_metrics_payload(
+            let gt = frame.ground_truth.as_ref();
+            let exact = extract_frame_payload(
                 &payload,
-                frame.ground_truth.as_ref(),
+                gt,
                 &config,
                 &mut scratch,
                 DispersionPrecision::F64,
             )
-            .unwrap();
-            let fast = frame_metrics_payload(
+            .unwrap()
+            .1;
+            let fast = extract_frame_payload(
                 &payload,
-                frame.ground_truth.as_ref(),
+                gt,
                 &config,
                 &mut scratch,
                 DispersionPrecision::F32,
             )
-            .unwrap();
+            .unwrap()
+            .1;
             assert_eq!(fast.len(), exact.len());
             for (f, e) in fast.iter().zip(&exact) {
                 assert_eq!(f.region_id, e.region_id);
@@ -1872,9 +1754,9 @@ mod tests {
     }
 
     /// The quantized in-place fast path is bit-identical to dequantizing
-    /// the wire values into an `f32` plane first and scanning that, in both
-    /// layouts: same dequantization formula per value, the staging plane
-    /// just never exists.
+    /// the wire values into an `f32` plane first and scanning that: same
+    /// dequantization formula per value, the staging plane just never
+    /// exists.
     #[test]
     fn quantized_direct_path_matches_f32_plane_bit_exactly() {
         use metaseg_data::{ProbEncoding, ProbPayload};
@@ -1895,34 +1777,22 @@ mod tests {
                 encoding: ProbEncoding::F32,
                 bytes: dequantized.iter().flat_map(|v| v.to_le_bytes()).collect(),
             };
-            for layout in [F32ScanLayout::PixelMajor, F32ScanLayout::Tiled] {
-                let direct = extract_frame_payload_layout(
-                    &quantized,
-                    frame.ground_truth.as_ref(),
-                    &config,
-                    &mut scratch,
-                    Some(layout),
-                )
+            let gt = frame.ground_truth.as_ref();
+            let f32_path = DispersionPrecision::F32;
+            let direct = extract_frame_payload(&quantized, gt, &config, &mut scratch, f32_path)
                 .unwrap()
                 .1;
-                let via_plane = extract_frame_payload_layout(
-                    &plane,
-                    frame.ground_truth.as_ref(),
-                    &config,
-                    &mut scratch,
-                    Some(layout),
-                )
+            let via_plane = extract_frame_payload(&plane, gt, &config, &mut scratch, f32_path)
                 .unwrap()
                 .1;
-                assert_eq!(direct, via_plane, "{layout:?} routes diverge");
-            }
+            assert_eq!(direct, via_plane, "quantized routes diverge");
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
         /// Direct-to-scratch payload ingestion at f64 precision is
-        /// bit-identical to decode-via-`ProbMap` + [`frame_metrics_scratch`]
+        /// bit-identical to decode-via-`ProbMap` + [`extract_frame`]
         /// for every wire encoding — the zero-copy path changes nothing but
         /// the allocation profile.
         #[test]
@@ -1940,12 +1810,12 @@ mod tests {
             let payload = ProbPayload::encode(&probs, encoding);
 
             let mut scratch = ExtractionScratch::new();
-            let direct = frame_metrics_payload(
+            let direct = extract_frame_payload(
                 &payload, Some(&gt), &config, &mut scratch, DispersionPrecision::F64,
-            ).unwrap();
-            let via_map = frame_metrics_scratch(
+            ).unwrap().1;
+            let via_map = extract_frame(
                 &payload.decode().unwrap(), Some(&gt), &config, &mut scratch,
-            );
+            ).1;
             prop_assert_eq!(direct, via_map);
         }
     }
@@ -1954,30 +1824,32 @@ mod tests {
     fn payload_entry_points_surface_codec_errors() {
         use metaseg_data::{ProbEncoding, ProbPayload};
         let frames = simulated_frames(1, 11, NetworkProfile::weak());
-        let mut payload = ProbPayload::encode(&frames[0].prediction, ProbEncoding::U16);
-        payload.bytes.pop();
+        let config = MetricsConfig::default();
+        let mut truncated = ProbPayload::encode(&frames[0].prediction, ProbEncoding::U16);
+        truncated.bytes.pop();
+        // A hand-built shape whose pixel count overflows `usize`: rejected
+        // as a typed error before anything multiplies the shape out.
+        let overflowing = ProbPayload {
+            width: usize::MAX,
+            height: 2,
+            channels: 19,
+            encoding: ProbEncoding::U16,
+            bytes: vec![0; 64],
+        };
         let mut scratch = ExtractionScratch::new();
-        for precision in [DispersionPrecision::F64, DispersionPrecision::F32] {
-            assert!(frame_metrics_payload(
-                &payload,
-                None,
-                &MetricsConfig::default(),
-                &mut scratch,
-                precision,
-            )
-            .is_err());
+        for payload in [&truncated, &overflowing] {
+            for precision in [DispersionPrecision::F64, DispersionPrecision::F32] {
+                assert!(
+                    extract_frame_payload(payload, None, &config, &mut scratch, precision).is_err(),
+                    "{}x{} payload at {precision} must be rejected",
+                    payload.width,
+                    payload.height
+                );
+            }
         }
         // The scratch stays usable after a rejected payload.
-        let records = frame_metrics_scratch(
-            &frames[0].prediction,
-            None,
-            &MetricsConfig::default(),
-            &mut scratch,
-        );
-        assert_eq!(
-            records,
-            frame_metrics(&frames[0].prediction, None, &MetricsConfig::default())
-        );
+        let records = extract_frame(&frames[0].prediction, None, &config, &mut scratch).1;
+        assert_eq!(records, frame_metrics(&frames[0].prediction, None, &config));
     }
 
     #[test]
@@ -2124,7 +1996,7 @@ mod tests {
     /// degradation* — a dropout pixel reads as entropy `0`, margin `1`,
     /// variation ratio `1`, argmax channel `0` — and no NaN ever reaches a
     /// segment record, on the f64 scan, the zero-copy payload ingest, and
-    /// both f32 scan layouts (which stay bit-identical to each other).
+    /// the f32 tiled scan.
     #[test]
     fn nan_dropout_stripes_degrade_without_poisoning_records() {
         use metaseg_data::{ProbEncoding, ProbMap, ProbPayload};
@@ -2179,38 +2051,29 @@ mod tests {
         }
         // Zero-copy f64 payload ingest sees the same bytes, bit-exactly.
         let payload = ProbPayload::encode(&probs, ProbEncoding::F64);
-        let ingested = frame_metrics_payload(
+        let ingested = extract_frame_payload(
             &payload,
             gt,
             &config,
             &mut scratch,
             DispersionPrecision::F64,
         )
-        .unwrap();
+        .unwrap()
+        .1;
         assert_eq!(ingested, f64_records);
 
-        // The two f32 layouts agree bit-for-bit even on dropout stripes —
-        // the sanitiser sits at the same point of both scan orders.
+        // The f32 tiled scan sanitises the stripes the same way.
         let payload32 = ProbPayload::encode(&probs, ProbEncoding::F32);
-        let pixel_major = extract_frame_payload_layout(
+        let tiled = extract_frame_payload(
             &payload32,
             gt,
             &config,
             &mut scratch,
-            Some(F32ScanLayout::PixelMajor),
+            DispersionPrecision::F32,
         )
         .unwrap()
         .1;
-        let tiled = extract_frame_payload_layout(
-            &payload32,
-            gt,
-            &config,
-            &mut scratch,
-            Some(F32ScanLayout::Tiled),
-        )
-        .unwrap()
-        .1;
-        assert_eq!(pixel_major, tiled);
+        assert!(!tiled.is_empty());
         for record in &tiled {
             assert!(record.metrics.iter().all(|m| m.is_finite()));
         }
@@ -2236,12 +2099,12 @@ mod tests {
         for (i, &(width, height)) in shapes.iter().enumerate() {
             let probs = random_probmap(width, height, 12, 8800 + i as u64);
             let payload = ProbPayload::encode(&probs, ProbEncoding::F32);
-            let tiled = extract_frame_payload_layout(
+            let tiled = extract_frame_payload(
                 &payload,
                 None,
                 &config,
                 &mut scratch,
-                Some(F32ScanLayout::Tiled),
+                DispersionPrecision::F32,
             )
             .unwrap()
             .1;

@@ -904,7 +904,7 @@ mod tests {
     /// the session scratch stops growing once both shapes have been seen.
     #[test]
     fn scratch_reuse_across_frame_shapes_matches_fresh_extraction() {
-        use crate::pipeline::{frame_metrics_scratch, ExtractionScratch};
+        use crate::pipeline::{extract_frame, ExtractionScratch};
         let predictor = fitted_predictor(2);
         let config = StreamConfig::default();
         // Interleave two camera geometries into one session's frame order.
@@ -938,12 +938,13 @@ mod tests {
             // The control path extracts with a brand-new scratch per frame
             // and feeds the records through the tracking/window tail.
             let predicted = frame.prediction.argmax_map();
-            let records = frame_metrics_scratch(
+            let records = extract_frame(
                 &frame.prediction,
                 None,
                 &config.metrics,
                 &mut ExtractionScratch::new(),
-            );
+            )
+            .1;
             let manual_verdicts = manual.push_extracted(&predicted, &records);
             assert_eq!(
                 session_verdicts, manual_verdicts,

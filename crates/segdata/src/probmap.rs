@@ -155,8 +155,10 @@ pub fn fast_ln_positive_f32(x: f32) -> f32 {
     exponent as f32 * std::f32::consts::LN_2 + series
 }
 
-/// Single-precision counterpart of [`DistributionScan`] — the opt-in f32
-/// dispersion fast path.
+/// Single-precision counterpart of [`DistributionScan`] — the per-pixel
+/// definition of the opt-in f32 dispersion fast path. The extraction
+/// kernel's tiled scan runs the same operation sequence across many pixels
+/// at once and is tested against this scan pixel by pixel.
 ///
 /// Unlike the f64 scan, whose entropy memo and comparison chain exist for
 /// bit-exact compatibility with the historical kernel, this scan is written
