@@ -7,23 +7,18 @@
 //! queue depth. Exits non-zero if any camera fails, which is what CI keys
 //! on: ≥ 2 concurrent sessions sustained, queue depth bounded, no panics.
 //!
-//! `--wire` selects the frame-submission format (`json`, `binary-f64`,
-//! `binary-f32`, `binary-u16`), `--batch` the server's cross-session
-//! micro-batch cap, and `--compare` runs the same scenario twice — JSON
-//! without batching, then the selected binary mode with batching — and
-//! prints a one-line frames/s comparison (optionally enforced with
-//! `--require-speedup`). `--regime <name>` degrades every camera feed
-//! through an adverse [`metaseg_sim::ScenarioSuite`] regime (fog, dropout,
-//! occlusion, …) before it crosses the wire — the stress mode CI uses to
-//! prove the service survives sensor faults; it requires a binary wire
-//! (JSON cannot carry the NaN stripes dropout produces) and excludes
-//! `--compare`. `--corpus <path>` replays a recorded frame corpus
-//! (`corpus_record`) instead of rendering live video — camera `c` drains
-//! recorded sequence `c % sequences` — and writes `BENCH_corpus.json`
-//! (override with `--out`), exiting non-zero unless every throughput and
-//! latency metric re-read from disk is finite and every submitted frame was
-//! processed; it likewise requires a binary wire and excludes `--compare`
-//! and `--regime` (record the degraded corpus instead).
+//! `--wire` selects the binary frame encoding (`binary-f64`, `binary-f32`,
+//! `binary-u16`) and `--batch` the server's cross-session micro-batch cap.
+//! `--regime <name>` degrades every camera feed through an adverse
+//! [`metaseg_sim::ScenarioSuite`] regime (fog, dropout, occlusion, …)
+//! before it crosses the wire — the stress mode CI uses to prove the
+//! service survives sensor faults. `--corpus <path>` replays a recorded
+//! frame corpus (`corpus_record`) instead of rendering live video — camera
+//! `c` drains recorded sequence `c % sequences` — and writes
+//! `BENCH_corpus.json` (override with `--out`), exiting non-zero unless
+//! every throughput and latency metric re-read from disk is finite and
+//! every submitted frame was processed; it excludes `--regime` (record the
+//! degraded corpus instead).
 //!
 //! `--scale` is the fleet mode: `--cameras` sessions are multiplexed over
 //! `--conns` TCP connections (default `min(cameras, 64)`) against the
@@ -51,7 +46,7 @@
 //! ```text
 //! cargo run --release -p metaseg-bench --bin serve_loadtest -- \
 //!     --cameras 4 --frames 30 --workers 4 --queue-depth 8 --delay-ms 0 \
-//!     --wire binary-f64 --batch 8 --compare
+//!     --wire binary-f64 --batch 8
 //! cargo run --release -p metaseg-bench --bin serve_loadtest -- \
 //!     --scale --cameras 1000 --frames 4 --hot-swap
 //! cargo run --release -p metaseg-bench --bin serve_loadtest -- \
@@ -66,7 +61,7 @@ use metaseg_bench::serve_fixture::{fit_predictor, percentile_ms, video_config};
 use metaseg_data::ProbMap;
 use metaseg_serve::{
     ClientConfig, ClientError, ErrorCode, FrameFormat, ModelRegistry, ServeClient, Server,
-    ServerConfig, ServerStats, Submission,
+    ServerConfig, Submission,
 };
 use metaseg_sim::{
     ChaosProxy, DecodedFrameSource, FaultPlan, FrameSource, NetworkProfile, NetworkSim,
@@ -93,8 +88,6 @@ struct Options {
     delay_ms: u64,
     wire: FrameFormat,
     batch: usize,
-    compare: bool,
-    require_speedup: Option<f64>,
     regime: Option<RegimeKind>,
     corpus: Option<PathBuf>,
     out: Option<PathBuf>,
@@ -118,8 +111,6 @@ impl Options {
             delay_ms: 0,
             wire: FrameFormat::Binary(ProbEncoding::F64),
             batch: 8,
-            compare: false,
-            require_speedup: None,
             regime: None,
             corpus: None,
             out: None,
@@ -149,23 +140,15 @@ impl Options {
                 "--wire" => {
                     let name = args.next().unwrap_or_default();
                     options.wire = FrameFormat::from_str_opt(&name).unwrap_or_else(|| {
-                        panic!("--wire expects json|binary-f64|binary-f32|binary-u16, got `{name}`")
+                        panic!("--wire expects binary-f64|binary-f32|binary-u16, got `{name}`")
                     });
                 }
-                "--compare" => options.compare = true,
                 "--regime" => {
                     let name = args.next().unwrap_or_default();
                     options.regime = Some(RegimeKind::from_name(&name).unwrap_or_else(|| {
                         let valid: Vec<_> = RegimeKind::all().iter().map(|k| k.name()).collect();
                         panic!("--regime expects one of {valid:?}, got `{name}`")
                     }));
-                }
-                "--require-speedup" => {
-                    let value = args
-                        .next()
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .unwrap_or_else(|| panic!("--require-speedup expects a ratio"));
-                    options.require_speedup = Some(value);
                 }
                 "--corpus" => {
                     options.corpus = Some(PathBuf::from(
@@ -232,20 +215,10 @@ impl Options {
     }
 }
 
-/// Outcome of one loadtest run.
-struct RunReport {
-    frames_per_s: f64,
-    stats: ServerStats,
-}
-
 /// Runs one full loadtest scenario: spawn a server over the shared fitted
-/// model, drive every camera in `wire` format, report, shut down.
-fn run_scenario(
-    options: &Options,
-    registry: &Arc<ModelRegistry>,
-    wire: FrameFormat,
-    batch: usize,
-) -> RunReport {
+/// model, drive every camera in the `--wire` encoding, report, shut down.
+fn run_scenario(options: &Options, registry: &Arc<ModelRegistry>) {
+    let (wire, batch) = (options.wire, options.batch);
     let handle = Server::spawn(
         "127.0.0.1:0",
         Arc::clone(registry),
@@ -289,9 +262,7 @@ fn run_scenario(
                     None => Box::new(stream),
                 };
                 let mut client = ServeClient::connect(addr).expect("connect succeeds");
-                if wire != FrameFormat::Json {
-                    client.negotiate(wire).expect("negotiate succeeds");
-                }
+                client.negotiate(wire).expect("negotiate succeeds");
                 let (session, _) = client
                     .open("default", &format!("cam-{camera}"))
                     .expect("open succeeds");
@@ -387,19 +358,13 @@ fn run_scenario(
         options.cameras * options.frames,
         "every accepted frame must be processed exactly once"
     );
-    if let FrameFormat::Binary(_) = wire {
-        // Every submission (processed or backpressure-rejected before
-        // processing) arrived on the binary path.
-        assert_eq!(
-            stats.binary_frames,
-            stats.frames_processed + stats.rejected,
-            "every frame submission must have arrived on the binary path"
-        );
-    }
-    RunReport {
-        frames_per_s,
-        stats,
-    }
+    // Every submission (processed or backpressure-rejected before
+    // processing) arrived as a verified binary frame.
+    assert_eq!(
+        stats.binary_frames,
+        stats.frames_processed + stats.rejected,
+        "every frame submission must have arrived as a verified binary frame"
+    );
 }
 
 /// Replays a recorded corpus through the server: camera `c` drains sequence
@@ -462,9 +427,7 @@ fn run_corpus(options: &Options, registry: &Arc<ModelRegistry>) {
             thread::spawn(move || -> (Vec<Duration>, usize, usize) {
                 let source = &maps[camera % maps.len()];
                 let mut client = ServeClient::connect(addr).expect("connect succeeds");
-                if wire != FrameFormat::Json {
-                    client.negotiate(wire).expect("negotiate succeeds");
-                }
+                client.negotiate(wire).expect("negotiate succeeds");
                 let (session, _) = client
                     .open("default", &format!("replay-{camera}"))
                     .expect("open succeeds");
@@ -623,9 +586,7 @@ fn run_scale(
             let completed = Arc::clone(&completed);
             thread::spawn(move || -> (Vec<Duration>, usize, usize, usize) {
                 let mut client = ServeClient::connect(addr).expect("connect succeeds");
-                if wire != FrameFormat::Json {
-                    client.negotiate(wire).expect("negotiate succeeds");
-                }
+                client.negotiate(wire).expect("negotiate succeeds");
                 // Strided assignment: connection c owns cameras c, c+conns, …
                 let sessions: Vec<u64> = (conn_index..cameras)
                     .step_by(conns)
@@ -1177,9 +1138,9 @@ fn main() {
     let options = Options::parse();
     if options.chaos {
         assert!(
-            !options.scale && !options.compare && options.regime.is_none(),
+            !options.scale && options.regime.is_none(),
             "--chaos replays a corpus through the fault proxy; it excludes \
-             --scale, --compare and --regime"
+             --scale and --regime"
         );
         if let Some(path) = &options.check {
             check_chaos(path);
@@ -1198,9 +1159,8 @@ fn main() {
     }
     if options.scale {
         assert!(
-            !options.compare && options.regime.is_none() && options.corpus.is_none(),
-            "--scale drives synthetic fleet traffic; it excludes --compare, \
-             --regime and --corpus"
+            options.regime.is_none() && options.corpus.is_none(),
+            "--scale drives synthetic fleet traffic; it excludes --regime and --corpus"
         );
     } else {
         assert!(
@@ -1208,29 +1168,11 @@ fn main() {
             "--conns, --hot-swap and --slo-* are scale-mode flags; add --scale"
         );
     }
-    if options.corpus.is_some() {
-        assert!(
-            options.wire != FrameFormat::Json,
-            "--corpus requires a binary wire: a recorded corpus may carry the \
-             NaN stripes JSON cannot represent"
-        );
-        assert!(
-            !options.compare && options.regime.is_none(),
-            "--corpus replays recorded traffic verbatim; it excludes --compare \
-             and --regime (record a degraded corpus with `corpus_record --regime` instead)"
-        );
-    }
     if let Some(kind) = options.regime {
         assert!(
-            options.wire != FrameFormat::Json,
-            "--regime requires a binary wire: JSON cannot represent the NaN \
-             stripes a `{}` camera may produce",
-            kind.name()
-        );
-        assert!(
-            !options.compare,
-            "--regime excludes --compare (the JSON baseline leg cannot carry \
-             degraded frames)"
+            options.corpus.is_none(),
+            "--corpus replays recorded traffic verbatim; it excludes --regime \
+             (record a degraded corpus with `corpus_record --regime` instead)"
         );
         println!(
             "serve_loadtest: degrading every camera through `{}`",
@@ -1238,8 +1180,7 @@ fn main() {
         );
     }
 
-    // Fit one small model to serve every camera, shared across runs so a
-    // comparison measures the wire + scheduler, not the fixture.
+    // Fit one small model to serve every camera.
     let (stream_config, predictor) =
         fit_predictor(&video_config(12, FRAME_WIDTH, FRAME_HEIGHT), 2, 7000);
     let registry = Arc::new(ModelRegistry::new());
@@ -1260,32 +1201,6 @@ fn main() {
         return;
     }
 
-    if options.compare {
-        // Same scenario twice: the JSON-lines baseline without batching,
-        // then the selected binary mode with cross-session micro-batching.
-        let baseline = run_scenario(&options, &registry, FrameFormat::Json, 1);
-        println!();
-        let fast_wire = match options.wire {
-            FrameFormat::Json => FrameFormat::Binary(ProbEncoding::F64),
-            binary => binary,
-        };
-        let fast = run_scenario(&options, &registry, fast_wire, options.batch);
-        let speedup = fast.frames_per_s / baseline.frames_per_s.max(1e-9);
-        println!();
-        println!(
-            "comparison: json {:.1} frames/s vs {fast_wire}+batch{} {:.1} frames/s \
-             ({speedup:.2}x, largest micro-batch {})",
-            baseline.frames_per_s, options.batch, fast.frames_per_s, fast.stats.peak_batch,
-        );
-        if let Some(required) = options.require_speedup {
-            assert!(
-                speedup >= required,
-                "binary+batching must sustain at least {required:.2}x the JSON frames/s \
-                 (measured {speedup:.2}x)"
-            );
-        }
-    } else {
-        run_scenario(&options, &registry, options.wire, options.batch);
-    }
+    run_scenario(&options, &registry);
     println!("serve_loadtest: OK");
 }

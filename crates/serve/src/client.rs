@@ -1,8 +1,8 @@
 //! A small blocking client for the serve protocol.
 //!
 //! Used by the integration tests, the demo example and the loadtest binary;
-//! production consumers in other languages just speak the JSON-lines
-//! protocol directly.
+//! production consumers in other languages speak the protocol directly:
+//! JSON control lines plus checksummed binary frames (see [`crate::wire`]).
 //!
 //! The client is *deadline-bounded and retrying* by default:
 //! [`ServeClient::connect`] applies the [`ClientConfig::default`] socket
@@ -18,7 +18,7 @@ use crate::protocol::{ErrorCode, FrameFormat, ProtocolError, Request, Response};
 use crate::wire::encode_binary_frame;
 use metaseg::stream::{SegmentVerdict, SessionStats};
 use metaseg::DispersionPrecision;
-use metaseg_data::ProbMap;
+use metaseg_data::{ProbEncoding, ProbMap};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
@@ -161,11 +161,12 @@ impl From<ProtocolError> for ClientError {
 
 /// A blocking connection to a serve instance.
 ///
-/// Starts on the JSON-lines protocol; [`ServeClient::negotiate`] switches
-/// frame submissions to the length-prefixed binary framing of
-/// [`crate::wire`] (control operations and all responses stay JSON lines).
+/// Frames go out as binary frames of [`crate::wire`], lossless
+/// [`FrameFormat::Binary`]`(`[`ProbEncoding::F64`]`)` until
+/// [`ServeClient::negotiate`] picks another encoding; control operations
+/// and all responses are JSON lines.
 ///
-/// The client remembers the resolved peer addresses, the negotiated frame
+/// The client remembers the resolved peer addresses, the frame
 /// format/dispersion and the per-session applied-frame counts, so the
 /// `*_with_retry` helpers can transparently reconnect, renegotiate and
 /// [`ServeClient::resume`] sessions after a connection fault.
@@ -187,8 +188,8 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Connects to a running server with [`ClientConfig::default`]: frame
-    /// format JSON until negotiated, and — deliberately — socket read/write
+    /// Connects to a running server with [`ClientConfig::default`]: frames
+    /// go out as binary-f64, and — deliberately — socket read/write
     /// deadlines applied, so a wedged or maliciously slow server surfaces
     /// as [`ClientError::TimedOut`] instead of hanging the calling thread.
     ///
@@ -210,7 +211,7 @@ impl ServeClient {
         Ok(Self {
             reader,
             writer,
-            format: FrameFormat::Json,
+            format: FrameFormat::Binary(ProbEncoding::F64),
             dispersion: DispersionPrecision::F64,
             jitter_state: config.jitter_seed,
             config,
@@ -259,11 +260,11 @@ impl ServeClient {
         self.format
     }
 
-    /// Negotiates the connection's frame-submission format; subsequent
-    /// [`ServeClient::submit`] calls use it. A server predating binary
-    /// framing rejects the op with `bad-request`, in which case the
-    /// connection stays on JSON — callers wanting graceful fallback can
-    /// match on [`ClientError::server_code`].
+    /// Chooses the payload encoding of subsequent [`ServeClient::submit`]
+    /// calls, once the server has echoed it (frame headers name their
+    /// encoding, so the server keeps no per-connection format). Also
+    /// resets the connection's dispersion precision to the exact
+    /// [`DispersionPrecision::F64`] default.
     ///
     /// # Errors
     ///
@@ -277,8 +278,7 @@ impl ServeClient {
     /// run its dispersion scan at the given precision for this connection's
     /// frames. [`DispersionPrecision::F32`] is the vectorised fast path
     /// (metrics within ~1e-4 relative of the exact f64 scan);
-    /// [`DispersionPrecision::F64`] is the exact default and keeps the
-    /// negotiation line byte-identical to what pre-fast-path clients send.
+    /// [`DispersionPrecision::F64`] is the exact default.
     ///
     /// # Errors
     ///
@@ -308,12 +308,7 @@ impl ServeClient {
     ///
     /// Fails on transport errors and undecodable replies.
     pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
-        self.roundtrip(&request.encode())
-    }
-
-    /// One already-encoded line out, one response in.
-    fn roundtrip(&mut self, line: &str) -> Result<Response, ClientError> {
-        writeln!(self.writer, "{line}")?;
+        writeln!(self.writer, "{}", request.encode())?;
         self.writer.flush()?;
         self.read_response()
     }
@@ -376,8 +371,8 @@ impl ServeClient {
         })
     }
 
-    /// Submits one frame in the negotiated format; returns `(frame index,
-    /// verdicts)`.
+    /// Submits one frame as a binary frame in the chosen encoding; returns
+    /// `(frame index, verdicts)`.
     ///
     /// # Errors
     ///
@@ -388,18 +383,13 @@ impl ServeClient {
         session: u64,
         probs: &ProbMap,
     ) -> Result<(usize, Vec<SegmentVerdict>), ClientError> {
-        let response = match self.format {
-            // Encode from the borrowed field — no per-frame ProbMap clone.
-            FrameFormat::Json => self.roundtrip(&Request::encode_frame(session, probs))?,
-            FrameFormat::Binary(encoding) => {
-                // Length-prefixed binary frame out (no newline), JSON
-                // response line back.
-                let frame = encode_binary_frame(session, probs, encoding);
-                self.writer.write_all(&frame)?;
-                self.writer.flush()?;
-                self.read_response()?
-            }
-        };
+        // Length-prefixed binary frame out (no newline), JSON response
+        // line back.
+        let FrameFormat::Binary(encoding) = self.format;
+        self.writer
+            .write_all(&encode_binary_frame(session, probs, encoding))?;
+        self.writer.flush()?;
+        let response = self.read_response()?;
         self.finish(response, |r| match r {
             // Guard on the session id so a desynchronised stream can never
             // mis-attribute another session's verdicts to this frame.
@@ -478,9 +468,9 @@ impl ServeClient {
     }
 
     /// Tears down the current stream and dials a fresh connection to the
-    /// remembered peers, renegotiating the previously confirmed frame
-    /// format and dispersion precision. On failure the desired terms are
-    /// retained, so a later attempt negotiates them again.
+    /// remembered peers, renegotiating a non-default dispersion precision.
+    /// On failure the desired terms are retained, so a later attempt
+    /// negotiates them again.
     ///
     /// # Errors
     ///
@@ -493,12 +483,11 @@ impl ServeClient {
         self.reader = reader;
         self.writer = writer;
         self.reconnects += 1;
-        // A fresh connection starts on JSON/f64 server-side; restore the
-        // negotiated terms before any frame goes out. `self.format` is only
-        // trusted once the server confirms, so a failure here leaves the
-        // client unable to submit — callers retry reconnect().
-        if !matches!(self.format, FrameFormat::Json) || self.dispersion != DispersionPrecision::F64
-        {
+        // A fresh connection starts on the f64 dispersion scan server-side;
+        // restore a negotiated precision before any frame goes out. A
+        // failure here leaves the client unable to submit at the right
+        // precision — callers retry reconnect().
+        if self.dispersion != DispersionPrecision::F64 {
             let (format, dispersion) = (self.format, self.dispersion);
             self.negotiate_with_dispersion(format, dispersion)?;
         }

@@ -18,9 +18,9 @@
 //!   `batch_max` queued jobs at a time) from its own bounded queue and
 //!   rejects overload with a typed `backpressure` error instead of blocking
 //!   or buffering unboundedly,
-//! * [`Request`] / [`Response`] — the JSON-lines wire protocol,
-//! * [`wire`] — the negotiated length-prefixed **binary frame fast path**
-//!   for submissions (raw little-endian `f64`/`f32`/quantized-`u16` softmax
+//! * [`Request`] / [`Response`] — the JSON-lines control protocol,
+//! * [`wire`] — the length-prefixed **binary frame** every frame submission
+//!   travels as (raw little-endian `f64`/`f32`/quantized-`u16` softmax
 //!   payloads behind a fixed checksummed header; see the module docs for
 //!   the byte layout),
 //! * [`ServeClient`] — a small blocking client for tests, demos and load
@@ -30,9 +30,9 @@
 //!
 //! ## Wire format
 //!
-//! One compact JSON object per line; requests carry an `"op"`, success
-//! responses an `"ok"`, errors an `"err"` code. The encoding is stable and
-//! doc-tested:
+//! Control messages are one compact JSON object per line; requests carry an
+//! `"op"`, success responses an `"ok"`, errors an `"err"` code. The encoding
+//! is stable and doc-tested:
 //!
 //! ```
 //! use metaseg_serve::{ErrorCode, Request, Response};
@@ -55,27 +55,14 @@
 //! assert!(matches!(busy, Response::Error { code: ErrorCode::Backpressure, .. }));
 //! ```
 //!
-//! Frame submissions can additionally switch to the binary fast path, per
-//! connection:
+//! Frames never travel as JSON. A connection accepts binary frames from its
+//! first byte, each naming its own payload encoding; `negotiate` only sets
+//! the connection's dispersion-scan precision and echoes the format:
 //!
 //! ```
 //! use metaseg::DispersionPrecision;
 //! use metaseg_serve::{FrameFormat, Request, Response};
 //! use metaseg_data::ProbEncoding;
-//!
-//! let negotiate = Request::Negotiate {
-//!     format: FrameFormat::Binary(ProbEncoding::F64),
-//!     dispersion: DispersionPrecision::F64,
-//! };
-//! assert_eq!(negotiate.encode(), r#"{"op":"negotiate","frames":"binary-f64"}"#);
-//! let reply = Response::decode(r#"{"ok":"negotiated","frames":"binary-f64"}"#).unwrap();
-//! assert_eq!(
-//!     reply,
-//!     Response::Negotiated {
-//!         format: FrameFormat::Binary(ProbEncoding::F64),
-//!         dispersion: DispersionPrecision::F64,
-//!     }
-//! );
 //!
 //! // Opting into the f32 dispersion fast path adds one key to the line.
 //! let fast = Request::Negotiate {
@@ -86,18 +73,30 @@
 //!     fast.encode(),
 //!     r#"{"op":"negotiate","frames":"binary-u16","dispersion":"f32"}"#
 //! );
+//! let reply = Response::decode(r#"{"ok":"negotiated","frames":"binary-u16","dispersion":"f32"}"#)
+//!     .unwrap();
+//! assert_eq!(
+//!     reply,
+//!     Response::Negotiated {
+//!         format: FrameFormat::Binary(ProbEncoding::U16),
+//!         dispersion: DispersionPrecision::F32,
+//!     }
+//! );
+//!
+//! // A JSON `frame` line, or a negotiation naming `json`, is a typed error.
+//! assert!(Request::decode(r#"{"op":"frame","session":1,"probs":{}}"#).is_err());
+//! assert!(Request::decode(r#"{"op":"negotiate","frames":"json"}"#).is_err());
 //! ```
 //!
-//! After that, each frame travels as a 36-byte header plus the raw
-//! little-endian payload (layout doc-tested in [`wire`]); every response —
-//! and every other request — stays a JSON line, so the two formats coexist
-//! on one connection and pre-binary peers interoperate unchanged.
+//! Each frame travels as a 36-byte header plus the raw little-endian
+//! payload (layout doc-tested in [`wire`]); every other request and every
+//! response is a JSON line.
 //!
 //! ## Session lifecycle
 //!
 //! `open` creates a session owning a fresh
-//! [`MetaSegStream`](metaseg::stream::MetaSegStream); each `frame`
-//! submission runs the single-pass extraction → incremental tracking →
+//! [`MetaSegStream`](metaseg::stream::MetaSegStream); each submitted
+//! frame runs the single-pass extraction → incremental tracking →
 //! windowed inference pipeline and answers with per-segment verdicts
 //! (predicted IoU, false-positive probability, track id) for *that* frame;
 //! `stats` snapshots the session counters; `close` releases the session.
@@ -347,7 +346,7 @@ mod tests {
     }
 
     #[test]
-    fn binary_frames_require_negotiation_and_malformed_ones_keep_the_connection() {
+    fn legacy_json_frames_and_malformed_binary_frames_keep_the_connection() {
         use crate::wire::encode_binary_frame;
         use metaseg_data::{ProbEncoding, ProbMap};
         use std::io::{BufRead, BufReader, Write};
@@ -365,40 +364,35 @@ mod tests {
             Response::decode(reply.trim_end()).unwrap()
         };
         let probs = ProbMap::uniform(6, 4, 3);
-        let frame = encode_binary_frame(1, &probs, ProbEncoding::F64);
 
-        // A binary frame before negotiation is a typed error, not a
-        // dropped connection (the header's length field lets the server
-        // skip the payload and resynchronise).
-        writer.write_all(&frame).unwrap();
-        writer.flush().unwrap();
-        let reply = read_reply(&mut reader);
-        assert!(matches!(
-            reply,
-            Response::Error {
-                code: ErrorCode::BadRequest,
-                ..
-            }
-        ));
-
-        // Negotiate binary framing, open a session — both JSON lines.
+        // A legacy JSON `frame` line and a negotiation naming the retired
+        // `json` format are typed errors, not dropped connections.
         writeln!(
             writer,
-            "{}",
-            Request::Negotiate {
-                format: FrameFormat::Binary(ProbEncoding::F64),
-                dispersion: metaseg::DispersionPrecision::F64
-            }
-            .encode()
+            "{{\"op\":\"frame\",\"session\":1,\"probs\":{}}}",
+            serde_json::to_string(&serde::Serialize::serialize(&probs)).unwrap()
         )
         .unwrap();
-        assert!(matches!(
-            read_reply(&mut reader),
-            Response::Negotiated {
-                format: FrameFormat::Binary(ProbEncoding::F64),
-                ..
-            }
-        ));
+        match read_reply(&mut reader) {
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                message,
+            } => assert!(
+                message.contains("unknown op `frame`"),
+                "unexpected: {message}"
+            ),
+            other => panic!("unexpected response {other:?}"),
+        }
+        writeln!(writer, "{{\"op\":\"negotiate\",\"frames\":\"json\"}}").unwrap();
+        match read_reply(&mut reader) {
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                message,
+            } => assert!(message.contains("`json`"), "unexpected: {message}"),
+            other => panic!("unexpected response {other:?}"),
+        }
+
+        // No negotiation: open a session and go straight to binary frames.
         writeln!(
             writer,
             "{}",
@@ -464,17 +458,113 @@ mod tests {
 
         let stats = handle.shutdown();
         assert_eq!(stats.frames_processed, 1);
-        // Arrival counter: only the valid frame counts — pre-negotiation,
-        // unknown-session and malformed frames are all rejected before
-        // their payload is ever decoded.
+        // Arrival counter: only the valid frame counts — unknown-session
+        // and malformed frames are rejected before their payload is ever
+        // decoded.
         assert_eq!(stats.binary_frames, 1);
     }
 
     #[test]
-    fn negotiated_client_submits_binary_frames_with_identical_verdicts() {
-        use metaseg_data::ProbEncoding;
+    fn newline_free_flood_neither_stalls_other_connections_nor_kills_its_own() {
+        use std::io::{BufRead, BufReader, Write};
+        use std::net::TcpStream;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
 
-        let registry = registry_with_default(2);
+        const LINE_BYTES: usize = 8 << 20;
+        const WRITE_BYTES: usize = 16 << 10;
+        let config = ServerConfig::default();
+        assert!(config.max_line_bytes >= LINE_BYTES);
+        let handle = Server::spawn("127.0.0.1:0", Arc::new(ModelRegistry::new()), config).unwrap();
+        let addr = handle.local_addr();
+        // One write per ping: a line split across packets would sit
+        // half-buffered, under the read deadline, while the flood runs.
+        let ping = |stream: &mut TcpStream, reader: &mut BufReader<TcpStream>| {
+            let mut line = Request::Ping.encode();
+            line.push('\n');
+            stream.write_all(line.as_bytes())?;
+            let mut reply = String::new();
+            reader.read_line(&mut reply)?;
+            Ok::<_, std::io::Error>(Response::decode(reply.trim_end()).unwrap())
+        };
+
+        // A second connection pings back to back for as long as the flood
+        // lasts; every answer must come within a generous bound. The event
+        // loop serves both connections, so a flood that monopolises it
+        // shows here.
+        let flooding = Arc::new(AtomicBool::new(true));
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let pinger = {
+            let flooding = Arc::clone(&flooding);
+            std::thread::spawn(move || -> std::io::Result<(usize, Duration)> {
+                let mut stream = TcpStream::connect(addr)?;
+                stream.set_read_timeout(Some(Duration::from_secs(60)))?;
+                let mut reader = BufReader::new(stream.try_clone()?);
+                assert_eq!(ping(&mut stream, &mut reader)?, Response::Pong);
+                ready_tx.send(()).unwrap();
+                let (mut pings, mut slowest) = (0usize, Duration::ZERO);
+                while flooding.load(Ordering::SeqCst) {
+                    let sent = Instant::now();
+                    assert_eq!(ping(&mut stream, &mut reader)?, Response::Pong);
+                    slowest = slowest.max(sent.elapsed());
+                    pings += 1;
+                }
+                Ok((pings, slowest))
+            })
+        };
+        ready_rx.recv().expect("the pinger is connected");
+
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let chunk = vec![b'x'; WRITE_BYTES];
+        for _ in 0..LINE_BYTES / WRITE_BYTES {
+            writer.write_all(&chunk).unwrap();
+        }
+        writer.write_all(b"\n").unwrap();
+        writer.flush().unwrap();
+        // The line gets exactly one typed answer, and the connection lives.
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert!(
+            matches!(
+                Response::decode(reply.trim_end()).unwrap(),
+                Response::Error {
+                    code: ErrorCode::BadRequest,
+                    ..
+                }
+            ),
+            "unexpected reply {reply:?}"
+        );
+        assert_eq!(ping(&mut writer, &mut reader).unwrap(), Response::Pong);
+        flooding.store(false, Ordering::SeqCst);
+
+        let (pings, slowest) = pinger
+            .join()
+            .expect("pinger never panics")
+            .expect("the pinging connection survives the flood");
+        assert!(pings > 0, "the pinger must ping during the flood");
+        assert!(
+            slowest < Duration::from_secs(2),
+            "a ping waited {slowest:?} behind the newline-free flood"
+        );
+        handle.shutdown();
+    }
+
+    #[test]
+    fn negotiated_client_submits_binary_frames_with_identical_verdicts() {
+        use metaseg::stream::MetaSegStream;
+        use metaseg_data::ProbEncoding;
+        use metaseg_sim::DecodedFrameSource;
+
+        let (config, predictor) = fitted_model(2);
+        let registry = Arc::new(ModelRegistry::new());
+        registry
+            .insert("default", config, predictor.clone())
+            .expect("fixture model is valid");
         let handle = Server::spawn("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
         let addr = handle.local_addr();
 
@@ -484,13 +574,23 @@ mod tests {
             .take(3)
             .map(|f| f.prediction)
             .collect();
+        let reference: Vec<_> = MetaSegStream::new(config, predictor)
+            .expect("fixture model is valid")
+            .drain(DecodedFrameSource::new(0, frames.clone()))
+            .frame_verdicts
+            .into_iter()
+            .map(|f| (f.frame, f.verdicts))
+            .collect();
 
         let submit_all = |format: Option<FrameFormat>| {
             let mut client = ServeClient::connect(addr).unwrap();
             if let Some(format) = format {
                 client.negotiate(format).unwrap();
-                assert_eq!(client.frame_format(), format);
             }
+            assert_eq!(
+                client.frame_format(),
+                FrameFormat::Binary(ProbEncoding::F64)
+            );
             let (session, _) = client.open("default", "cam").unwrap();
             let verdicts: Vec<_> = frames
                 .iter()
@@ -500,13 +600,17 @@ mod tests {
             verdicts
         };
 
-        let json = submit_all(None);
-        let binary = submit_all(Some(FrameFormat::Binary(ProbEncoding::F64)));
-        // The lossless binary path yields bit-identical verdicts.
-        assert_eq!(json, binary);
+        // A fresh client sends lossless binary-f64 frames without
+        // negotiating; both it and a negotiated one reproduce the
+        // in-process engine bit for bit.
+        assert_eq!(submit_all(None), reference);
+        assert_eq!(
+            submit_all(Some(FrameFormat::Binary(ProbEncoding::F64))),
+            reference
+        );
 
         let stats = handle.shutdown();
         assert_eq!(stats.frames_processed, 6);
-        assert_eq!(stats.binary_frames, 3);
+        assert_eq!(stats.binary_frames, 6);
     }
 }

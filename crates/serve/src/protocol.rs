@@ -1,45 +1,46 @@
-//! The JSON-lines wire protocol of the inference service.
+//! The control plane of the inference service: JSON lines.
 //!
-//! Every message is one compact JSON object per line. Requests carry an
-//! `"op"` discriminator, successful responses an `"ok"` discriminator, and
-//! error responses an `"err"` code plus a human-readable `"message"`:
+//! Every control message is one compact JSON object per line. Requests
+//! carry an `"op"` discriminator, successful responses an `"ok"`
+//! discriminator, and error responses an `"err"` code plus a human-readable
+//! `"message"`. Frames never travel as JSON: each one crosses the wire as a
+//! checksummed binary frame (see [`crate::wire`]), answered by a JSON
+//! `verdicts` line:
 //!
 //! ```text
 //! -> {"op":"open","model":"default","camera":"cam-0"}
 //! <- {"ok":"opened","session":1,"series_length":3}
-//! -> {"op":"frame","session":1,"probs":{...softmax field...}}
+//! -> <36-byte binary header for session 1><softmax payload>
 //! <- {"ok":"verdicts","session":1,"frame":0,"verdicts":[...]}
 //! -> {"op":"close","session":1}
 //! <- {"ok":"closed","session":1,"stats":{...}}
 //! ```
 //!
-//! Payload types ([`ProbMap`], [`SegmentVerdict`], [`SessionStats`]) use
-//! their derived serde encodings, so a served verdict is *bit-identical* to
-//! the in-process one after the round-trip (floats travel in shortest
+//! Payload types ([`SegmentVerdict`], [`SessionStats`]) use their derived
+//! serde encodings, so a served verdict is *bit-identical* to the
+//! in-process one after the round-trip (floats travel in shortest
 //! round-trip form).
 //!
-//! Decoding is total: any malformed line becomes a [`ProtocolError`], which
-//! the server answers with [`ErrorCode::BadRequest`] instead of dropping the
+//! Decoding is total: any malformed line — including a `frame` op, which is
+//! not part of the protocol — becomes a [`ProtocolError`], which the server
+//! answers with [`ErrorCode::BadRequest`] instead of dropping the
 //! connection — one garbled camera payload must not kill a session.
 
 use metaseg::stream::{SegmentVerdict, SessionStats};
 use metaseg::DispersionPrecision;
-use metaseg_data::{ProbEncoding, ProbMap};
+use metaseg_data::ProbEncoding;
 use serde::{Deserialize, DeserializeError, Serialize, Value};
 use std::fmt;
 
-/// The frame-submission format of a connection.
+/// The payload encoding a client submits its binary frames in.
 ///
-/// Connections start in [`FrameFormat::Json`] (every frame is a JSON `frame`
-/// line — the backward-compatible default). A client that wants the binary
-/// fast path sends [`Request::Negotiate`]; once the server confirms with
-/// [`Response::Negotiated`], the client may submit frames as length-prefixed
-/// binary frames (see [`crate::wire`]) on the same connection. Control
-/// operations and every response stay JSON lines in either mode.
+/// Every connection accepts binary frames (see [`crate::wire`]) from its
+/// first byte, and each frame's header names its own encoding, so the
+/// server needs no per-connection format state: [`Request::Negotiate`]
+/// names a format only to have it echoed back, and [`crate::ServeClient`]
+/// uses it to choose the encoding it sends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameFormat {
-    /// JSON-lines `frame` submissions (default, always accepted).
-    Json,
     /// Binary frame submissions with the given payload encoding.
     Binary(ProbEncoding),
 }
@@ -48,7 +49,6 @@ impl FrameFormat {
     /// The wire spelling of the format.
     pub fn as_str(self) -> &'static str {
         match self {
-            FrameFormat::Json => "json",
             FrameFormat::Binary(ProbEncoding::F64) => "binary-f64",
             FrameFormat::Binary(ProbEncoding::F32) => "binary-f32",
             FrameFormat::Binary(ProbEncoding::U16) => "binary-u16",
@@ -58,21 +58,11 @@ impl FrameFormat {
     /// Parses the wire spelling.
     pub fn from_str_opt(text: &str) -> Option<Self> {
         Some(match text {
-            "json" => FrameFormat::Json,
             "binary-f64" => FrameFormat::Binary(ProbEncoding::F64),
             "binary-f32" => FrameFormat::Binary(ProbEncoding::F32),
             "binary-u16" => FrameFormat::Binary(ProbEncoding::U16),
             _ => return None,
         })
-    }
-
-    /// Whether frame payloads decode to the exact field that was encoded
-    /// (and therefore yield bit-identical verdicts to in-process serving).
-    pub fn is_lossless(self) -> bool {
-        match self {
-            FrameFormat::Json => true,
-            FrameFormat::Binary(encoding) => encoding.is_lossless(),
-        }
     }
 }
 
@@ -91,13 +81,6 @@ pub enum Request {
         model: String,
         /// Free-form camera label, echoed in server-side statistics.
         camera: String,
-    },
-    /// Submits the next frame of a session (a decoded softmax field).
-    Frame {
-        /// Session the frame belongs to.
-        session: u64,
-        /// The frame's softmax field.
-        probs: ProbMap,
     },
     /// Requests the session's lifetime statistics.
     Stats {
@@ -121,17 +104,16 @@ pub enum Request {
     /// Liveness probe; answered with [`Response::Pong`] without touching any
     /// session.
     Ping,
-    /// Negotiates the connection's frame-submission format. Answered with
-    /// [`Response::Negotiated`] on success; servers predating binary framing
-    /// answer `bad-request` (unknown op), which a client treats as "JSON
-    /// only".
+    /// Sets the dispersion-scan precision of this connection's frames.
+    /// Answered with [`Response::Negotiated`], which echoes both fields.
+    /// Binary frames need no negotiation: their encoding is named in each
+    /// frame header.
     Negotiate {
-        /// The format the client wants to submit frames in.
+        /// The encoding the client submits its frames in (echoed only).
         format: FrameFormat,
         /// The dispersion-scan precision the client asks the server to run.
         /// Encoded on the wire only when it deviates from the
-        /// [`DispersionPrecision::F64`] default, so negotiation lines from
-        /// older clients (and to older servers) are unchanged.
+        /// [`DispersionPrecision::F64`] default.
         dispersion: DispersionPrecision,
     },
 }
@@ -179,9 +161,9 @@ pub enum Response {
     },
     /// Answer to [`Request::Ping`].
     Pong,
-    /// The connection's frame-submission format was switched.
+    /// The connection's dispersion precision was set.
     Negotiated {
-        /// The format now in effect for this connection.
+        /// The format the request named.
         format: FrameFormat,
         /// The dispersion precision now in effect for this connection
         /// (omitted on the wire when it is the [`DispersionPrecision::F64`]
@@ -295,14 +277,20 @@ fn required<'a>(value: &'a Value, key: &str) -> Result<&'a Value, ProtocolError>
         .ok_or_else(|| ProtocolError::new(format!("missing field `{key}`")))
 }
 
+/// Integer fields decode only below 2^53: the document model holds every
+/// number as an `f64`, so a larger id could arrive rounded to another
+/// session's id. Server-assigned session ids count up from 1.
+const EXACT_INTEGER_LIMIT: u64 = 1 << 53;
+
 fn u64_field(value: &Value, key: &str) -> Result<u64, ProtocolError> {
     required(value, key)?
         .as_u64()
-        .ok_or_else(|| ProtocolError::new(format!("field `{key}` must be a non-negative integer")))
+        .filter(|&n| n < EXACT_INTEGER_LIMIT)
+        .ok_or_else(|| ProtocolError::new(format!("field `{key}` must be an integer in 0..2^53")))
 }
 
 /// Optional `"dispersion"` field of negotiation messages: an absent key is
-/// the f64 default, so pre-fast-path peers interoperate unchanged.
+/// the f64 default.
 fn dispersion_field(value: &Value) -> Result<DispersionPrecision, ProtocolError> {
     match value.get("dispersion") {
         None => Ok(DispersionPrecision::F64),
@@ -324,18 +312,6 @@ fn string_field(value: &Value, key: &str) -> Result<String, ProtocolError> {
 }
 
 impl Request {
-    /// Renders a frame submission from borrowed parts — the hot-path
-    /// encoder: submitting a frame must not require cloning the softmax
-    /// field into an owned [`Request`] first.
-    pub fn encode_frame(session: u64, probs: &ProbMap) -> String {
-        let value = object(vec![
-            ("op", Value::String("frame".into())),
-            ("session", session.serialize()),
-            ("probs", probs.serialize()),
-        ]);
-        serde_json::to_string(&value).expect("document model serialization is infallible")
-    }
-
     /// Renders the request as one compact JSON line (no trailing newline).
     pub fn encode(&self) -> String {
         let value = match self {
@@ -344,7 +320,6 @@ impl Request {
                 ("model", model.serialize()),
                 ("camera", camera.serialize()),
             ]),
-            Request::Frame { session, probs } => return Self::encode_frame(*session, probs),
             Request::Stats { session } => object(vec![
                 ("op", Value::String("stats".into())),
                 ("session", session.serialize()),
@@ -387,10 +362,6 @@ impl Request {
             "open" => Ok(Request::Open {
                 model: string_field(&value, "model")?,
                 camera: string_field(&value, "camera")?,
-            }),
-            "frame" => Ok(Request::Frame {
-                session: u64_field(&value, "session")?,
-                probs: ProbMap::deserialize(required(&value, "probs")?)?,
             }),
             "stats" => Ok(Request::Stats {
                 session: u64_field(&value, "session")?,
@@ -534,14 +505,7 @@ impl Response {
 mod tests {
     use super::*;
     use metaseg_data::SemanticClass;
-
-    fn tiny_probs() -> ProbMap {
-        let mut probs = ProbMap::uniform(2, 1, 3);
-        probs
-            .set_distribution(0, 0, &[0.5, 0.25, 0.25])
-            .expect("valid distribution");
-        probs
-    }
+    use proptest::prelude::*;
 
     #[test]
     fn requests_roundtrip() {
@@ -550,24 +514,16 @@ mod tests {
                 model: "default".into(),
                 camera: "cam-0".into(),
             },
-            Request::Frame {
-                session: 7,
-                probs: tiny_probs(),
-            },
             Request::Stats { session: 7 },
             Request::Close { session: 7 },
             Request::Resume { session: 7 },
             Request::Ping,
             Request::Negotiate {
-                format: FrameFormat::Binary(metaseg_data::ProbEncoding::F64),
+                format: FrameFormat::Binary(ProbEncoding::F64),
                 dispersion: DispersionPrecision::F64,
             },
             Request::Negotiate {
-                format: FrameFormat::Json,
-                dispersion: DispersionPrecision::F64,
-            },
-            Request::Negotiate {
-                format: FrameFormat::Binary(metaseg_data::ProbEncoding::U16),
+                format: FrameFormat::Binary(ProbEncoding::U16),
                 dispersion: DispersionPrecision::F32,
             },
         ];
@@ -578,34 +534,25 @@ mod tests {
         }
     }
 
-    /// The f64 default travels as an *absent* key, so negotiation lines are
-    /// byte-compatible with peers that predate the dispersion fast path.
+    /// The f64 default travels as an *absent* key.
     #[test]
     fn default_dispersion_is_absent_from_the_wire() {
+        let format = FrameFormat::Binary(ProbEncoding::F64);
         let request = Request::Negotiate {
-            format: FrameFormat::Json,
+            format,
             dispersion: DispersionPrecision::F64,
         };
         assert!(!request.encode().contains("dispersion"));
         let response = Response::Negotiated {
-            format: FrameFormat::Json,
+            format,
             dispersion: DispersionPrecision::F64,
         };
         assert!(!response.encode().contains("dispersion"));
         let fast = Request::Negotiate {
-            format: FrameFormat::Json,
+            format,
             dispersion: DispersionPrecision::F32,
         };
         assert!(fast.encode().contains("\"dispersion\":\"f32\""));
-    }
-
-    #[test]
-    fn borrowed_frame_encoder_matches_the_owned_one() {
-        let probs = tiny_probs();
-        assert_eq!(
-            Request::encode_frame(7, &probs),
-            Request::Frame { session: 7, probs }.encode()
-        );
     }
 
     #[test]
@@ -696,9 +643,6 @@ mod tests {
             "{}",
             "{\"op\":\"warp\"}",
             "{\"op\":\"open\"}",
-            "{\"op\":\"frame\",\"session\":-1,\"probs\":{}}",
-            "{\"op\":\"frame\",\"session\":1,\"probs\":{\"width\":1}}",
-            "{\"op\":\"frame\",\"session\":1}",
             "{\"op\":\"negotiate\"}",
             "{\"op\":\"negotiate\",\"frames\":\"binary-f16\"}",
             "{\"op\":\"negotiate\",\"frames\":\"binary-u16\",\"dispersion\":\"f16\"}",
@@ -755,9 +699,7 @@ mod tests {
 
     #[test]
     fn frame_formats_roundtrip() {
-        use metaseg_data::ProbEncoding;
         for format in [
-            FrameFormat::Json,
             FrameFormat::Binary(ProbEncoding::F64),
             FrameFormat::Binary(ProbEncoding::F32),
             FrameFormat::Binary(ProbEncoding::U16),
@@ -766,9 +708,170 @@ mod tests {
             assert_eq!(format.to_string(), format.as_str());
         }
         assert_eq!(FrameFormat::from_str_opt("binary"), None);
-        assert!(FrameFormat::Json.is_lossless());
-        assert!(FrameFormat::Binary(ProbEncoding::F64).is_lossless());
-        assert!(!FrameFormat::Binary(ProbEncoding::F32).is_lossless());
-        assert!(!FrameFormat::Binary(ProbEncoding::U16).is_lossless());
+        assert_eq!(FrameFormat::from_str_opt("json"), None);
+    }
+
+    /// Frames only travel as binary frames: the retired JSON `frame` op and
+    /// a negotiation naming the retired `json` format are typed errors,
+    /// however well-formed the rest of the line is.
+    #[test]
+    fn retired_json_frame_lines_decode_to_typed_errors() {
+        let legacy_frame = "{\"op\":\"frame\",\"session\":1,\"probs\":{\"width\":1,\
+                            \"height\":1,\"channels\":2,\"data\":[0.5,0.5]}}";
+        let err = Request::decode(legacy_frame).unwrap_err();
+        assert!(err.to_string().contains("unknown op `frame`"), "{err}");
+        for line in [
+            "{\"op\":\"negotiate\",\"frames\":\"json\"}",
+            "{\"op\":\"negotiate\",\"frames\":\"json\",\"dispersion\":\"f32\"}",
+        ] {
+            let err = Request::decode(line).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown frame format `json`"),
+                "{err}"
+            );
+        }
+        let echoed = Response::decode("{\"ok\":\"negotiated\",\"frames\":\"json\"}");
+        assert!(echoed.is_err());
+    }
+
+    /// An id the `f64` document model cannot carry exactly is refused, never
+    /// rounded onto a neighbouring session.
+    #[test]
+    fn session_ids_beyond_exact_json_integers_are_typed_errors() {
+        let last = EXACT_INTEGER_LIMIT - 1;
+        assert_eq!(
+            Request::decode(&Request::Stats { session: last }.encode()),
+            Ok(Request::Stats { session: last })
+        );
+        for session in [EXACT_INTEGER_LIMIT, EXACT_INTEGER_LIMIT + 1, u64::MAX] {
+            let line = Request::Close { session }.encode();
+            let err = Request::decode(&line).unwrap_err();
+            assert!(err.to_string().contains("0..2^53"), "{line}: {err}");
+        }
+        assert!(Request::decode("{\"op\":\"stats\",\"session\":1e300}").is_err());
+    }
+
+    /// Characters a generated string field draws from: ASCII (control
+    /// characters, quotes and backslashes included), Latin-1, and
+    /// multi-byte code points up to the supplementary planes.
+    fn field_text(codes: &[u32]) -> String {
+        codes
+            .iter()
+            .map(|&code| match code % 4 {
+                0 | 1 => char::from_u32(code % 0x80),
+                2 => char::from_u32(0x80 + code % 0x780),
+                _ => char::from_u32(0x1F300 + code % 0x300),
+            })
+            .map(|c| c.expect("every generated code point is a scalar value"))
+            .collect()
+    }
+
+    /// One request of every variant, built from the given fields.
+    fn every_request(session: u64, model: String, camera: String, tag: u8) -> Vec<Request> {
+        let format = FrameFormat::Binary(ProbEncoding::from_tag(tag % 3).expect("tag in range"));
+        let dispersion = if tag >= 3 {
+            DispersionPrecision::F32
+        } else {
+            DispersionPrecision::F64
+        };
+        vec![
+            Request::Open { model, camera },
+            Request::Stats { session },
+            Request::Close { session },
+            Request::Resume { session },
+            Request::Ping,
+            Request::Negotiate { format, dispersion },
+        ]
+    }
+
+    /// Fragments of request syntax for grammar-aware fuzzing: random byte
+    /// soup rarely gets past the JSON parser, token soup reaches the field
+    /// checks behind it.
+    const TOKENS: [&str; 36] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"",
+        "\"op\"",
+        "\"open\"",
+        "\"stats\"",
+        "\"close\"",
+        "\"resume\"",
+        "\"ping\"",
+        "\"negotiate\"",
+        "\"frame\"",
+        "\"session\"",
+        "\"model\"",
+        "\"camera\"",
+        "\"frames\"",
+        "\"dispersion\"",
+        "\"binary-f64\"",
+        "\"binary-u16\"",
+        "\"json\"",
+        "\"f32\"",
+        "\"f64\"",
+        "0",
+        "7",
+        "-1",
+        "1.5",
+        "1e999",
+        "18446744073709551616",
+        "null",
+        "true",
+        "\"\\u00ff\"",
+        "\"\\ud800\"",
+        " ",
+    ];
+
+    proptest! {
+        #[test]
+        fn prop_requests_roundtrip(
+            session in 0..EXACT_INTEGER_LIMIT,
+            model in proptest::collection::vec(any::<u32>(), 0..12),
+            camera in proptest::collection::vec(any::<u32>(), 0..12),
+            tag in 0u8..6
+        ) {
+            for request in every_request(session, field_text(&model), field_text(&camera), tag) {
+                let line = request.encode();
+                prop_assert!(!line.contains('\n'), "one message per line: {}", line);
+                prop_assert_eq!(Request::decode(&line), Ok(request));
+            }
+        }
+
+        #[test]
+        fn prop_single_byte_mutations_decode_totally(
+            session in any::<u64>(),
+            model in proptest::collection::vec(any::<u32>(), 0..6),
+            tag in 0u8..6,
+            position in any::<u64>(),
+            byte in 0u8..=255
+        ) {
+            for request in every_request(session, field_text(&model), "cam".into(), tag) {
+                let mut bytes = request.encode().into_bytes();
+                let position = (position % bytes.len() as u64) as usize;
+                bytes[position] = byte;
+                // Total: a request or a typed error, never a panic — and
+                // whatever is accepted re-encodes to a line that decodes
+                // to the same request.
+                if let Ok(decoded) = Request::decode(&String::from_utf8_lossy(&bytes)) {
+                    prop_assert_eq!(Request::decode(&decoded.encode()), Ok(decoded));
+                }
+            }
+        }
+
+        #[test]
+        fn prop_arbitrary_lines_decode_totally(
+            bytes in proptest::collection::vec(0u8..=255, 0..96),
+            tokens in proptest::collection::vec(0usize..TOKENS.len(), 0..24)
+        ) {
+            let _ = Request::decode(&String::from_utf8_lossy(&bytes));
+            let soup: String = tokens.iter().map(|&i| TOKENS[i]).collect();
+            if let Ok(decoded) = Request::decode(&soup) {
+                prop_assert_eq!(Request::decode(&decoded.encode()), Ok(decoded));
+            }
+        }
     }
 }

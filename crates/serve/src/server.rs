@@ -5,7 +5,7 @@
 //! * **Event loop** — one transport thread owns the listener and every
 //!   client socket, nonblocking, multiplexed through the vendored poller
 //!   (epoll on Linux; see [`crate::transport`]). It accepts, parses — JSON
-//!   lines and negotiated binary frames, routed by the first byte — answers
+//!   control lines and binary frames, routed by the first byte — answers
 //!   inline operations, and turns frame / `stats` / `close` operations into
 //!   jobs on the owning session's shard. It never runs inference and never
 //!   blocks on a session lock, so accepting and parsing stay responsive
@@ -16,10 +16,10 @@
 //!   are processed by one worker in arrival order — per-session frame order
 //!   is preserved by construction — while distinct sessions spread across
 //!   shards and run in parallel, each shard draining **micro-batches** of up
-//!   to `batch_max` queued jobs and pushing them through the session engines:
-//!   decoded JSON frames via `MetaSegStream::push_frame`, binary wire
-//!   payloads via `MetaSegStream::push_payload`, which dequantizes the
-//!   checksum-verified bytes straight into the engine's extraction scratch.
+//!   to `batch_max` queued jobs and pushing them through the session engines
+//!   via `MetaSegStream::push_payload`, which dequantizes the
+//!   checksum-verified wire bytes straight into the engine's extraction
+//!   scratch.
 //!   Each shard's queue is bounded: when a session's shard is full the
 //!   submission immediately answers `backpressure` instead of blocking or
 //!   buffering unboundedly — the overload signal a fleet balancer needs.
@@ -66,8 +66,8 @@ pub struct ServerConfig {
     /// Poll timeout of the event loop; bounds how quickly shutdown is
     /// observed when no traffic arrives.
     pub poll_interval_ms: u64,
-    /// Maximum accepted message length in bytes — the request-line cap of
-    /// the JSON path and the payload cap of the binary path. A connection
+    /// Maximum accepted message length in bytes — the cap on a JSON control
+    /// line and on a binary frame's payload. A connection
     /// whose line grows past this without a newline, or whose binary header
     /// declares a payload beyond it, is answered (where possible) and
     /// dropped rather than allowed to grow server memory without bound.
@@ -86,8 +86,8 @@ pub struct ServerConfig {
     /// response in flight) before the event loop drops it. `0` disables
     /// idle deadlines.
     pub idle_timeout_ms: u64,
-    /// Milliseconds a connection may stall *mid-message* — a partial JSON
-    /// line or binary frame buffered, no new bytes arriving — before it is
+    /// Milliseconds a connection may stall *mid-message* — a partial
+    /// control line or binary frame buffered, no new bytes arriving — before it is
     /// dropped. This is the slow-loris defense: a trickling peer holds its
     /// slot only as long as it keeps feeding bytes. `0` disables read
     /// deadlines.
@@ -108,8 +108,9 @@ impl Default for ServerConfig {
             batch_max: 4,
             synthetic_delay_ms: 0,
             poll_interval_ms: 25,
-            // Generous for softmax payloads (a 500x300x19 frame is ~40 MiB
-            // of JSON) while still bounding a hostile newline-free stream.
+            // Also the binary payload cap: a 1024x1024x19 f64 field is
+            // ~152 MiB, so full-resolution frames fit, while a hostile
+            // newline-free stream or an inflated header stays bounded.
             max_line_bytes: 256 << 20,
             max_connections: 4096,
             max_outbuf_bytes: 64 << 20,
@@ -139,7 +140,9 @@ pub struct ServerStats {
     pub sessions_opened: usize,
     /// Frame jobs fully processed.
     pub frames_processed: usize,
-    /// Frames that arrived as binary wire frames (the rest arrived as JSON).
+    /// Binary frames whose header and checksum verified, so they were
+    /// handed on for processing (`frames_processed` counts those the engine
+    /// then applied; `rejected` those turned away with `backpressure`).
     pub binary_frames: usize,
     /// Frame submissions rejected with `backpressure`.
     pub rejected: usize,

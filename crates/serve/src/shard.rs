@@ -24,7 +24,7 @@ use crate::protocol::Response;
 use crate::server::{bad_request, session_poisoned_error, ServerConfig, ShardStats};
 use metaseg::stream::MetaSegStream;
 use metaseg::DispersionPrecision;
-use metaseg_data::{Frame, FrameId, ProbMap, ProbPayload};
+use metaseg_data::ProbPayload;
 use mio::Waker;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -64,22 +64,15 @@ pub(crate) struct Completion {
     pub(crate) evict: Option<u64>,
 }
 
-/// How a queued frame travels to the worker that will serve it.
-pub(crate) enum JobPayload {
-    /// A softmax field decoded at the event loop (the JSON path — the
-    /// document decoder produces an owned [`ProbMap`] anyway).
-    Decoded(ProbMap),
-    /// Checksum-verified wire bytes, untouched since the socket read. The
-    /// worker dequantizes them directly into the session engine's extraction
-    /// scratch — no intermediate `ProbMap` is ever materialised.
-    Encoded(ProbPayload),
-}
-
 /// What a queued job asks of the session.
 pub(crate) enum JobKind {
-    /// Push one frame through the engine and answer its verdicts.
+    /// Push one frame through the engine and answer its verdicts. The
+    /// payload is the checksum-verified wire bytes, untouched since the
+    /// socket read: the worker dequantizes them directly into the session
+    /// engine's extraction scratch, so no intermediate `ProbMap` is ever
+    /// materialised.
     Frame {
-        payload: JobPayload,
+        payload: ProbPayload,
         dispersion: DispersionPrecision,
     },
     /// Snapshot the session counters.
@@ -351,13 +344,8 @@ fn run_group(
             JobKind::Frame {
                 payload,
                 dispersion,
-            } => match payload {
-                JobPayload::Decoded(probs) => {
-                    let frame = Frame::unlabeled(
-                        FrameId::new(session_id as usize, guard.engine.frames_seen()),
-                        probs,
-                    );
-                    let verdicts = guard.engine.push_frame(&frame);
+            } => match guard.engine.push_payload(&payload, dispersion) {
+                Ok(verdicts) => {
                     processed += 1;
                     Response::Verdicts {
                         session: session_id,
@@ -365,21 +353,9 @@ fn run_group(
                         verdicts: verdicts.verdicts,
                     }
                 }
-                JobPayload::Encoded(payload) => {
-                    match guard.engine.push_payload(&payload, dispersion) {
-                        Ok(verdicts) => {
-                            processed += 1;
-                            Response::Verdicts {
-                                session: session_id,
-                                frame: verdicts.frame,
-                                verdicts: verdicts.verdicts,
-                            }
-                        }
-                        // The engine state is untouched on a codec error;
-                        // the session keeps serving subsequent frames.
-                        Err(e) => bad_request(e),
-                    }
-                }
+                // The engine state is untouched on a codec error; the
+                // session keeps serving subsequent frames.
+                Err(e) => bad_request(e),
             },
             JobKind::Stats => Response::Stats {
                 session: session_id,

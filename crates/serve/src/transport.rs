@@ -9,11 +9,12 @@
 //!
 //! Per connection the loop runs a byte-level state machine over one growable
 //! input buffer: at each message boundary the first byte routes to either a
-//! JSON line (always starts with `{`) or a binary frame (the magic byte),
-//! mirroring the peek-based routing of the old blocking transport, including
-//! resynchronisation — a binary frame whose header is readable but invalid
-//! is skipped by its declared length, and only an unbounded declared payload
-//! (or an oversized newline-free line) forces a disconnect.
+//! JSON control line (always starts with `{`) or a binary frame (the magic
+//! byte), including resynchronisation — a binary frame whose header is
+//! readable but invalid is skipped by its declared length, and only an
+//! unbounded declared payload (or an oversized newline-free line) forces a
+//! disconnect. A partial line is searched for its newline only once per
+//! byte, so a long newline-free line costs linear time, not quadratic.
 //!
 //! Inference never runs on the event loop. Frame, `stats` and `close`
 //! operations become [`Job`]s on the session's shard queue; the shard worker
@@ -23,13 +24,14 @@
 //! fill theirs immediately, queued operations fill theirs on completion, and
 //! the write side only ever flushes the longest filled prefix.
 
-use crate::protocol::{ErrorCode, FrameFormat, Request, Response};
+use crate::protocol::{ErrorCode, Request, Response};
 use crate::server::{
     bad_request, overloaded_error, shutting_down_error, unknown_session_error, ServerConfig, Shared,
 };
-use crate::shard::{Completion, ConnId, Job, JobKind, JobPayload, Session, Shard};
+use crate::shard::{Completion, ConnId, Job, JobKind, Session, Shard};
 use crate::wire::{self, BinaryFrameHeader, BINARY_FRAME_MAGIC, BINARY_HEADER_LEN};
 use metaseg::DispersionPrecision;
+use metaseg_data::ProbPayload;
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
@@ -127,6 +129,9 @@ struct Conn {
     stream: TcpStream,
     id: ConnId,
     inbuf: ByteBuf,
+    /// How many leading bytes of the buffered partial line are already
+    /// known to hold no newline; the next search starts there.
+    line_scanned: usize,
     outbuf: Vec<u8>,
     out_start: usize,
     read_state: ReadState,
@@ -140,8 +145,6 @@ struct Conn {
     /// connection (`None` when none is); avoids pushing a heap entry per
     /// read.
     scheduled_deadline: Option<Instant>,
-    /// Whether binary frame submissions have been negotiated.
-    binary_frames: bool,
     /// Negotiated dispersion-scan precision for this connection's frames.
     dispersion: DispersionPrecision,
     /// Response slots in request order: `pending[i]` answers request
@@ -161,13 +164,13 @@ impl Conn {
             stream,
             id,
             inbuf: ByteBuf::new(),
+            line_scanned: 0,
             outbuf: Vec::new(),
             out_start: 0,
             read_state: ReadState::Route,
             sessions: HashSet::new(),
             last_activity: Instant::now(),
             scheduled_deadline: None,
-            binary_frames: false,
             dispersion: DispersionPrecision::F64,
             pending: VecDeque::new(),
             base_seq: 0,
@@ -595,9 +598,11 @@ impl Transport {
                         }
                         self.route_binary_header(conn);
                     } else {
-                        match buffered.iter().position(|&b| b == b'\n') {
+                        let scanned = conn.line_scanned;
+                        match buffered[scanned..].iter().position(|&b| b == b'\n') {
                             Some(position) => {
-                                let line = conn.inbuf.take(position + 1);
+                                conn.line_scanned = 0;
+                                let line = conn.inbuf.take(scanned + position + 1);
                                 self.handle_line(conn, &line);
                             }
                             None => {
@@ -609,6 +614,7 @@ impl Transport {
                                 if buffered.len() > self.shared.config.max_line_bytes {
                                     return ReadOutcome::Dead;
                                 }
+                                conn.line_scanned = buffered.len();
                                 return ReadOutcome::Alive;
                             }
                         }
@@ -629,12 +635,9 @@ impl Transport {
                     match header.verified_payload(payload) {
                         Ok(payload) => {
                             self.shared.binary_frames.fetch_add(1, Ordering::Relaxed);
-                            if let Some(response) = self.submit_frame(
-                                conn,
-                                seq,
-                                header.session,
-                                JobPayload::Encoded(payload),
-                            ) {
+                            if let Some(response) =
+                                self.submit_frame(conn, seq, header.session, payload)
+                            {
                                 conn.fill(seq, response);
                             }
                         }
@@ -657,13 +660,12 @@ impl Transport {
 
     /// Routes a buffered 36-byte binary header: a valid header either starts
     /// payload accumulation or (for a frame doomed regardless of its
-    /// contents — binary framing not negotiated, or an unknown session id)
-    /// slots the typed rejection and discards the payload without ever
-    /// buffering it for decode. An invalid header is answered and skipped by
-    /// its declared length when that is bounded; otherwise the connection is
-    /// answered and closed (reading an unbounded payload would defeat the
-    /// memory cap, and skipping terabytes is indistinguishable from a hung
-    /// connection).
+    /// contents — an unknown session id) slots the typed rejection and
+    /// discards the payload without ever buffering it for decode. An invalid
+    /// header is answered and skipped by its declared length when that is
+    /// bounded; otherwise the connection is answered and closed (reading an
+    /// unbounded payload would defeat the memory cap, and skipping terabytes
+    /// is indistinguishable from a hung connection).
     fn route_binary_header(&mut self, conn: &mut Conn) {
         let mut header_bytes = [0u8; BINARY_HEADER_LEN];
         header_bytes.copy_from_slice(&conn.inbuf.as_slice()[..BINARY_HEADER_LEN]);
@@ -673,30 +675,17 @@ impl Transport {
             .and_then(|header| header.checked_payload_len(cap).map(|len| (header, len)));
         match validated {
             Ok((header, payload_len)) => {
-                let rejection = if !conn.binary_frames {
-                    Some(bad_request(
-                        "binary framing was not negotiated on this connection \
-                         (send the negotiate op first)",
-                    ))
-                } else if self.owned_state(conn, header.session).is_none() {
-                    Some(unknown_session_error(header.session))
+                if self.owned_state(conn, header.session).is_none() {
+                    let seq = conn.alloc_slot();
+                    conn.fill(seq, unknown_session_error(header.session));
+                    conn.read_state = ReadState::BinarySkip {
+                        remaining: payload_len,
+                    };
                 } else {
-                    None
-                };
-                match rejection {
-                    Some(response) => {
-                        let seq = conn.alloc_slot();
-                        conn.fill(seq, response);
-                        conn.read_state = ReadState::BinarySkip {
-                            remaining: payload_len,
-                        };
-                    }
-                    None => {
-                        conn.read_state = ReadState::BinaryPayload {
-                            header,
-                            needed: payload_len,
-                        };
-                    }
+                    conn.read_state = ReadState::BinaryPayload {
+                        header,
+                        needed: payload_len,
+                    };
                 }
             }
             Err(e) => {
@@ -751,14 +740,9 @@ impl Transport {
         match request {
             Request::Ping => Some(Response::Pong),
             Request::Negotiate { format, dispersion } => {
-                // Binary framing is a per-connection capability switch;
-                // control operations and responses stay JSON lines either
-                // way. The payload encoding of each binary frame is
-                // self-describing, so the server only needs to remember
-                // "binary allowed". The dispersion precision applies to
-                // every frame submitted after this confirmation, whatever
-                // its format.
-                conn.binary_frames = matches!(format, FrameFormat::Binary(_));
+                // Each binary frame names its own payload encoding, so the
+                // format is only echoed; the dispersion precision applies
+                // to every frame submitted after this confirmation.
                 conn.dispersion = dispersion;
                 Some(Response::Negotiated { format, dispersion })
             }
@@ -827,9 +811,6 @@ impl Transport {
                     Some(shutting_down_error())
                 }
             }
-            Request::Frame { session, probs } => {
-                self.submit_frame(conn, seq, session, JobPayload::Decoded(probs))
-            }
             Request::Stats { session } => self.submit_control(conn, seq, session, JobKind::Stats),
             Request::Close { session } => {
                 // Evict first so later requests get the honest
@@ -876,14 +857,13 @@ impl Transport {
         &self.shards[(session % self.shards.len() as u64) as usize]
     }
 
-    /// Submits one frame payload to the session's shard — the shared tail of
-    /// the JSON and binary submission paths.
+    /// Submits one checksum-verified frame payload to the session's shard.
     fn submit_frame(
         &mut self,
         conn: &mut Conn,
         seq: u64,
         session: u64,
-        payload: JobPayload,
+        payload: ProbPayload,
     ) -> Option<Response> {
         if self.shared.shutting_down.load(Ordering::SeqCst) {
             return Some(shutting_down_error());
@@ -891,17 +871,6 @@ impl Transport {
         let Some(state) = self.owned_state(conn, session) else {
             return Some(unknown_session_error(session));
         };
-        // Decoded payloads cross a trust boundary: an inconsistent shape
-        // would panic deep inside metric extraction. (The binary path
-        // validates shape against byte count before the job is built.)
-        if let JobPayload::Decoded(probs) = &payload {
-            if !probs.shape_consistent() {
-                return Some(Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: "frame payload has an inconsistent shape".to_string(),
-                });
-            }
-        }
         let job = Job {
             session_id: session,
             session: state,

@@ -1,13 +1,12 @@
 //! Length-prefixed binary framing for frame submissions.
 //!
-//! JSON text dominates the per-frame budget of the serve protocol: a
-//! 48x24x19 softmax field is ~400 KiB of decimal floats but only ~171 KiB of
-//! raw little-endian `f64`s — and decoding the latter is a bounds check, a
-//! checksum and a `memcpy` instead of a float parser. This module defines
-//! the binary frame a client may send *instead of* a JSON `frame` line once
-//! it has negotiated binary framing on the connection (see
-//! [`Request::Negotiate`](crate::Request)); every other operation, and every
-//! response, stays on the JSON-lines protocol.
+//! Every frame crosses the wire as one binary frame: a 48x24x19 softmax
+//! field is ~171 KiB of raw little-endian `f64`s (against ~400 KiB of
+//! decimal floats as JSON text), decoding it is a bounds check, a checksum
+//! and a `memcpy` instead of a float parser, and it carries NaN. A
+//! connection accepts binary frames from its first byte, with no
+//! negotiation; every other operation, and every response, is a JSON line
+//! (see [`Request`](crate::Request)).
 //!
 //! ## Frame layout
 //!

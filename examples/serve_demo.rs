@@ -34,15 +34,15 @@ fn flag(name: &str, default: usize) -> usize {
     default
 }
 
-/// Parses the `--wire` flag (`json`, `binary-f64`, `binary-f32`,
-/// `binary-u16`); defaults to the lossless binary fast path.
+/// Parses the `--wire` flag (`binary-f64`, `binary-f32`, `binary-u16`);
+/// defaults to the lossless `binary-f64`.
 fn wire_flag() -> FrameFormat {
     let mut args = std::env::args();
     while let Some(arg) = args.next() {
         if arg == "--wire" {
             let name = args.next().unwrap_or_default();
             return FrameFormat::from_str_opt(&name).unwrap_or_else(|| {
-                panic!("--wire expects json|binary-f64|binary-f32|binary-u16, got `{name}`")
+                panic!("--wire expects binary-f64|binary-f32|binary-u16, got `{name}`")
             });
         }
     }
@@ -93,11 +93,7 @@ fn main() {
                     &mut rng,
                 );
                 let mut client = ServeClient::connect(addr).expect("connect succeeds");
-                if wire != FrameFormat::Json {
-                    // Binary framing is opt-in per connection; JSON needs
-                    // no negotiation.
-                    client.negotiate(wire).expect("negotiate succeeds");
-                }
+                client.negotiate(wire).expect("negotiate succeeds");
                 let (session, _) = client
                     .open("default", &format!("cam-{camera}"))
                     .expect("open succeeds");

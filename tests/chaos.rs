@@ -86,40 +86,32 @@ fn in_process_verdicts(frames: &[ProbMap]) -> Vec<FrameVerdicts> {
 }
 
 #[test]
-fn trickled_json_and_binary_frames_yield_bit_identical_verdicts() {
-    // Maximal fragmentation: every byte of every request — JSON lines and
-    // 36-byte binary headers alike — arrives as its own 1-byte read. The
-    // incremental parsers must reassemble frames across arbitrarily torn
-    // buffers without ever mis-decoding one.
+fn trickled_binary_frames_yield_bit_identical_verdicts() {
+    // Maximal fragmentation: every byte of every request — JSON control
+    // lines and 36-byte binary headers alike — arrives as its own 1-byte
+    // read. The incremental parsers must reassemble lines and frames across
+    // arbitrarily torn buffers without ever mis-decoding one.
     let handle = spawn_server(chaos_server_config());
     let proxy = ChaosProxy::spawn(handle.local_addr(), FaultPlan::trickle(), 11)
         .expect("proxy bind succeeds");
     let frames = camera_frames(0);
     let reference = in_process_verdicts(&frames);
 
-    let submit_all = |format: Option<FrameFormat>| -> Vec<FrameVerdicts> {
-        let mut client =
-            ServeClient::connect_with(proxy.local_addr(), chaos_client_config()).unwrap();
-        if let Some(format) = format {
-            client.negotiate(format).unwrap();
-        }
-        let (session, _) = client.open("default", "trickle-cam").unwrap();
-        let served = frames
-            .iter()
-            .map(|probs| {
-                let (frame, verdicts) = client.submit(session, probs).unwrap();
-                FrameVerdicts { frame, verdicts }
-            })
-            .collect();
-        client.close(session).unwrap();
-        served
-    };
-
-    let json = submit_all(None);
-    let binary = submit_all(Some(FrameFormat::Binary(ProbEncoding::F64)));
-    assert_eq!(json, reference, "JSON wire under trickle must stay exact");
+    let mut client = ServeClient::connect_with(proxy.local_addr(), chaos_client_config()).unwrap();
+    client
+        .negotiate(FrameFormat::Binary(ProbEncoding::F64))
+        .unwrap();
+    let (session, _) = client.open("default", "trickle-cam").unwrap();
+    let served: Vec<FrameVerdicts> = frames
+        .iter()
+        .map(|probs| {
+            let (frame, verdicts) = client.submit(session, probs).unwrap();
+            FrameVerdicts { frame, verdicts }
+        })
+        .collect();
+    client.close(session).unwrap();
     assert_eq!(
-        binary, reference,
+        served, reference,
         "binary wire under trickle must stay exact"
     );
 

@@ -7,7 +7,7 @@
 //! This is the serving half of the ScenarioSuite contract: fog-flattened
 //! softmaxes, NaN dropout stripes, occlusion bursts, mid-stream resolution
 //! switches and jittered feeds all cross the wire (binary f64 — the lossless
-//! encoding; JSON cannot carry NaN), get scheduled into micro-batches with
+//! encoding, NaN included), get scheduled into micro-batches with
 //! frames of *other* degraded sessions, and still reproduce the reference
 //! engine float for float.
 
@@ -105,8 +105,7 @@ fn served_verdicts_are_bit_identical_under_every_regime() {
                     );
                     let mut client = ServeClient::connect(addr).expect("connect succeeds");
                     // Binary f64 is the lossless wire: NaN dropout stripes
-                    // and per-frame resolution switches survive it; JSON
-                    // would reject the former.
+                    // and per-frame resolution switches survive it.
                     client
                         .negotiate(FrameFormat::Binary(ProbEncoding::F64))
                         .unwrap();

@@ -19,8 +19,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Duration;
 
-/// Frames per simulated camera (kept small: each frame crosses the wire as
-/// JSON).
+/// Frames per simulated camera (kept small: every frame crosses the wire).
 const FRAMES_PER_CAMERA: usize = 5;
 
 /// A scaled-down video configuration so the wire payloads stay small.
@@ -90,8 +89,9 @@ fn served_verdicts_are_bit_identical_to_in_process_streaming() {
 
     for thread in threads {
         let (frames, served) = thread.join().expect("camera thread never panics");
-        // Exact equality: every float of every verdict survived the JSON
-        // round-trip and the server-side engine bit-identically.
+        // Exact equality: every float of every verdict survived the binary
+        // frame, the server-side engine and the JSON verdict line
+        // bit-identically.
         assert_eq!(served, in_process_verdicts(&frames));
         assert!(
             served.iter().map(|f| f.verdicts.len()).sum::<usize>() > 0,
@@ -118,9 +118,7 @@ fn drive_cameras(
             thread::spawn(move || {
                 let frames = camera_frames(camera);
                 let mut client = ServeClient::connect(addr).expect("connect succeeds");
-                if format != FrameFormat::Json {
-                    client.negotiate(format).unwrap();
-                }
+                client.negotiate(format).unwrap();
                 let (session, _) = client.open("default", &format!("cam-{camera}")).unwrap();
                 let mut served = Vec::new();
                 for probs in &frames {
@@ -140,7 +138,7 @@ fn drive_cameras(
 }
 
 #[test]
-fn binary_path_is_bit_identical_to_json_and_in_process_under_forced_micro_batching() {
+fn binary_path_is_bit_identical_to_in_process_under_forced_micro_batching() {
     // One worker with a synthetic per-frame delay forces the queue to fill
     // while a batch is in flight, so the next drain picks up frames of
     // *distinct* sessions as one cross-session micro-batch (asserted below
@@ -155,21 +153,18 @@ fn binary_path_is_bit_identical_to_json_and_in_process_under_forced_micro_batchi
     let addr = handle.local_addr();
     const CAMERAS: usize = 3;
 
-    for format in [FrameFormat::Json, FrameFormat::Binary(ProbEncoding::F64)] {
-        for (frames, served) in drive_cameras(addr, CAMERAS, format) {
-            // Exact equality: the lossless binary payload and the JSON
-            // payload both reproduce the in-process engine bit for bit,
-            // batched or not.
-            assert_eq!(
-                served,
-                in_process_verdicts(&frames),
-                "{format} verdicts must match the in-process engine"
-            );
-        }
+    for (frames, served) in drive_cameras(addr, CAMERAS, FrameFormat::Binary(ProbEncoding::F64)) {
+        // Exact equality: the lossless binary payload reproduces the
+        // in-process engine bit for bit, batched or not.
+        assert_eq!(
+            served,
+            in_process_verdicts(&frames),
+            "binary-f64 verdicts must match the in-process engine"
+        );
     }
 
     let stats = handle.shutdown();
-    assert_eq!(stats.frames_processed, 2 * CAMERAS * FRAMES_PER_CAMERA);
+    assert_eq!(stats.frames_processed, CAMERAS * FRAMES_PER_CAMERA);
     assert_eq!(stats.binary_frames, CAMERAS * FRAMES_PER_CAMERA);
     assert!(
         stats.peak_batch >= 2,
